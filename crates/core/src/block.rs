@@ -21,7 +21,7 @@ use rayon::prelude::*;
 use crate::cell::{compute_cell, CellContext, CellScratch};
 use crate::grid::CandidateGrid;
 use crate::model::{Cell, Face, MeshBlock, NO_NEIGHBOR};
-use crate::params::{HullMode, TessParams};
+use crate::params::TessParams;
 use crate::stats::TessStats;
 
 /// Per-block certification summary for the adaptive ghost loop.
@@ -396,14 +396,9 @@ fn compute_one(
             );
         }
     }
-    // Volume / area: native clip path or the paper's Qhull path.
-    let (volume, area) = match params.hull_mode {
-        HullMode::Clip => (cell.poly.volume(), cell.poly.surface_area()),
-        HullMode::Quickhull => match geometry::convex_hull(&cell.poly.verts, params.eps) {
-            Ok(h) => (h.volume(), h.surface_area()),
-            Err(_) => (cell.poly.volume(), cell.poly.surface_area()),
-        },
-    };
+    // Volume and area straight from the clipped polyhedron's ordered
+    // faces (the paper's Qhull pass is cross-checked in the tests).
+    let (volume, area) = (cell.poly.volume(), cell.poly.surface_area());
     // Exact cull after the volume is known.
     if let Some(minv) = params.min_volume {
         if volume < minv {
@@ -672,30 +667,40 @@ mod tests {
     }
 
     #[test]
-    fn hull_mode_matches_clip_mode() {
+    fn clip_volume_and_area_match_the_convex_hull() {
+        // The paper orders each cell's vertices into faces with Qhull; the
+        // clipped polyhedron already carries ordered faces. Cross-check its
+        // volume and area against a convex hull of the stored vertices.
+        use rand::{Rng, SeedableRng};
         let n = 5;
-        let own = lattice_particles(n, 1.0);
-        let bounds = Aabb::cube(n as f64);
-        let base = TessParams::default().with_ghost(2.0);
-        let clip = TessParams {
-            hull_mode: HullMode::Clip,
-            ..base
-        };
-        let hull = TessParams {
-            hull_mode: HullMode::Quickhull,
-            ..base
-        };
-        let (b1, _) = tessellate_block(0, bounds, &own, &[], 2.0, &clip);
-        let (b2, _) = tessellate_block(0, bounds, &own, &[], 2.0, &hull);
-        assert_eq!(b1.cells.len(), b2.cells.len());
-        for (c1, c2) in b1.cells.iter().zip(&b2.cells) {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        let own: Vec<(u64, Vec3)> = lattice_particles(n, 1.0)
+            .into_iter()
+            .map(|(id, p)| {
+                let d = Vec3::new(
+                    rng.gen_range(-0.3..0.3),
+                    rng.gen_range(-0.3..0.3),
+                    rng.gen_range(-0.3..0.3),
+                );
+                (id, p + d)
+            })
+            .collect();
+        let params = TessParams::default().with_ghost(2.0);
+        let (block, _) = tessellate_block(0, Aabb::cube(n as f64), &own, &[], 2.0, &params);
+        assert!(!block.cells.is_empty());
+        for c in &block.cells {
+            let mut ids: Vec<u32> = c.faces.iter().flat_map(|f| f.verts.clone()).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            let pts: Vec<Vec3> = ids.iter().map(|&v| block.verts[v as usize]).collect();
+            let hull = geometry::convex_hull(&pts, params.eps).expect("cell hull");
             assert!(
-                (c1.volume - c2.volume).abs() < 1e-9,
+                (c.volume - hull.volume()).abs() < 1e-9,
                 "{} vs {}",
-                c1.volume,
-                c2.volume
+                c.volume,
+                hull.volume()
             );
-            assert!((c1.area - c2.area).abs() < 1e-9);
+            assert!((c.area - hull.surface_area()).abs() < 1e-9);
         }
     }
 

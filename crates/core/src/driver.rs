@@ -1,6 +1,14 @@
 //! Tessellation drivers: distributed (in-situ) and standalone (serial).
+//!
+//! Every distributed pass runs one ghost-round loop: exchange ghosts with
+//! the neighbours, compute and certify each block's cells, and hand every
+//! finished block to a sink — the in-memory merge of [`tessellate`] or the
+//! collective file waves of [`tessellate_streaming`]. A fixed or auto
+//! ghost radius is the one-round schedule; the adaptive schedule grows
+//! each block's halo round by round.
 
 use std::collections::BTreeMap;
+use std::io;
 
 use diy::comm::{Runtime, World};
 use diy::decomposition::{Assignment, Decomposition};
@@ -10,8 +18,9 @@ use geometry::{Aabb, Vec3};
 
 use crate::block::{tessellate_block_session, BlockSession, CellObs};
 use crate::ghost::{exchange_ghosts, sort_ghosts, AdaptiveGhostExchange, GhostParticle};
+use crate::io::TessStreamWriter;
 use crate::model::MeshBlock;
-use crate::params::{GhostSpec, KernelMode, TessParams, AUTO_GHOST_FACTOR};
+use crate::params::{GhostSpec, TessParams, AUTO_GHOST_FACTOR};
 use crate::stats::TessStats;
 
 /// Phase span covering ghost resolution + particle exchange (see
@@ -27,7 +36,7 @@ pub const PHASE_OUTPUT: &str = "output";
 pub const HIST_CANDIDATES: &str = "tess.candidates_per_cell";
 /// Histogram: wall nanoseconds per computed cell (tracing only).
 pub const HIST_CELL_COMPUTE_NS: &str = "tess.cell_compute_ns";
-/// Histogram: ghost radius requested per owned block per adaptive round.
+/// Histogram: ghost radius requested per owned block per ghost round.
 pub const HIST_GHOST_REQUEST_RADIUS: &str = "tess.ghost_request_radius";
 /// Histogram: input particles per owned block (one sample per block, so
 /// the merged histogram's max/mean is the block-level load imbalance).
@@ -80,11 +89,8 @@ pub struct TessResult {
     pub blocks: BTreeMap<u64, MeshBlock>,
     /// This rank's counters (merge across ranks for global stats).
     pub stats: TessStats,
-    /// The ghost size actually used (resolved if `GhostSpec::Auto`).
+    /// The largest ghost radius any block used.
     pub ghost_used: f64,
-    /// Per-cell discovery kernel the pass ran with (bench provenance; the
-    /// mesh bits are kernel-independent).
-    pub kernel: KernelMode,
 }
 
 /// Estimated particle spacing: `max over blocks of (block volume / own
@@ -106,22 +112,282 @@ pub fn estimated_spacing(
     world.all_reduce(local_max, f64::max)
 }
 
-/// Resolve the ghost size: explicit passthrough, or a spacing multiple (a
-/// collective operation). For `Adaptive` this is the *initial* radius;
-/// [`tessellate`] then grows it per block as needed.
+/// The initial radius of `spec` and the auto-heuristic fallback radius of
+/// the adaptive schedule, both capped at the neighbour reach (collective
+/// unless `spec` is explicit).
+fn ghost_radii(
+    world: &mut World,
+    dec: &Decomposition,
+    local: &BTreeMap<u64, Vec<(u64, Vec3)>>,
+    spec: GhostSpec,
+) -> (f64, f64) {
+    // The exchange only reaches adjacent blocks, so a wider halo would
+    // certify cells against a region it never filled.
+    let reach = dec.min_block_extent();
+    assert!(
+        reach.is_finite() && reach > 0.0,
+        "degenerate decomposition: min block extent {reach}"
+    );
+    let factor = match spec {
+        GhostSpec::Explicit(g) => return (g.min(reach), g.min(reach)),
+        GhostSpec::Auto { factor } => factor,
+        GhostSpec::Adaptive { initial_factor, .. } => initial_factor,
+    };
+    let spacing = estimated_spacing(world, dec, local);
+    (
+        (factor * spacing).min(reach),
+        (AUTO_GHOST_FACTOR * spacing).min(reach),
+    )
+}
+
+/// Resolve the ghost size: explicit passthrough or a spacing multiple (a
+/// collective operation), capped at the smallest block extent — the
+/// farthest the neighbour exchange reaches. For `Adaptive` this is the
+/// *initial* radius; [`tessellate`] then grows it per block as needed.
 pub fn resolve_ghost(
     world: &mut World,
     dec: &Decomposition,
     local: &BTreeMap<u64, Vec<(u64, Vec3)>>,
     spec: GhostSpec,
 ) -> f64 {
-    match spec {
-        GhostSpec::Explicit(g) => g,
-        GhostSpec::Auto { factor } => factor * estimated_spacing(world, dec, local),
-        GhostSpec::Adaptive { initial_factor, .. } => {
-            initial_factor * estimated_spacing(world, dec, local)
-        }
+    ghost_radii(world, dec, local, spec).0
+}
+
+/// Where the round loop hands finished blocks, one wave at a time.
+trait BlockSink {
+    /// Waves the one-round schedule runs for `owned` local blocks.
+    fn waves(&mut self, world: &mut World, owned: usize) -> usize;
+    /// Take one wave of final blocks (possibly empty).
+    fn wave(&mut self, world: &mut World, blocks: Vec<(u64, MeshBlock)>) -> io::Result<()>;
+}
+
+/// The in-memory merge: waves are local, so nothing is padded.
+impl BlockSink for BTreeMap<u64, MeshBlock> {
+    fn waves(&mut self, _world: &mut World, owned: usize) -> usize {
+        owned
     }
+
+    fn wave(&mut self, _world: &mut World, blocks: Vec<(u64, MeshBlock)>) -> io::Result<()> {
+        self.extend(blocks);
+        Ok(())
+    }
+}
+
+/// The streamed file: every wave is a collective write, so every rank
+/// runs as many waves as the rank with the most blocks.
+impl BlockSink for TessStreamWriter {
+    fn waves(&mut self, world: &mut World, owned: usize) -> usize {
+        world.all_reduce(owned as u64, u64::max) as usize
+    }
+
+    fn wave(&mut self, world: &mut World, blocks: Vec<(u64, MeshBlock)>) -> io::Result<()> {
+        let refs: Vec<(u64, &MeshBlock)> = blocks.iter().map(|(gid, b)| (*gid, b)).collect();
+        self.write_wave(world, &refs)?;
+        world.metrics().sample_mem_counters();
+        Ok(())
+    }
+}
+
+/// The ghost-round loop behind [`tessellate`] and [`tessellate_streaming`]
+/// (collective). Returns this rank's counters and the largest radius used.
+///
+/// Each round exchanges ghosts for the blocks in the collective request
+/// map and re-tessellates exactly those blocks. A fixed or auto radius is
+/// one round: one [`exchange_ghosts`], then each block goes to the sink
+/// as soon as it is computed, one block per wave. Adaptive rounds ship
+/// only the delta shell, gather every uncertified cell's radius need on
+/// all ranks, and send the blocks no longer re-requested to the sink in
+/// one wave. After `max_rounds` growth rounds one fallback round at the
+/// auto-heuristic radius runs; cells still uncertified are dropped.
+fn tessellate_rounds(
+    world: &mut World,
+    dec: &Decomposition,
+    asn: &Assignment,
+    local: &BTreeMap<u64, Vec<(u64, Vec3)>>,
+    params: &TessParams,
+    sink: &mut impl BlockSink,
+) -> io::Result<(TessStats, f64)> {
+    // Pool task events are only worth their mutex traffic under full
+    // tracing; flip the pool's recording flag to match before any work.
+    rayon::set_task_trace(trace_mode() == TraceMode::Full);
+    let metrics = world.metrics();
+    record_balance(&metrics, local);
+    // Canonical re-clip cube half-extent: a function of the *domain*, so
+    // certified cell bits cannot depend on which decomposition scheme cut
+    // the domain into blocks (see `cell::CellContext::canon_extent`).
+    let e = dec.domain.extent();
+    let params = &TessParams {
+        canon_extent: Some(params.canon_extent.unwrap_or(e.x.min(e.y).min(e.z))),
+        ..*params
+    };
+    let (r0, auto_r) = {
+        let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
+        ghost_radii(world, dec, local, params.ghost)
+    };
+    let cap = dec.min_block_extent();
+    // `None`: the one-round schedule, whose blocks are final once computed.
+    let max_rounds = match params.ghost {
+        GhostSpec::Adaptive { max_rounds, .. } => Some(max_rounds),
+        _ => None,
+    };
+    let mut exchanger = max_rounds.map(|_| AdaptiveGhostExchange::new(dec, asn));
+    let mut ghosts: BTreeMap<u64, Vec<GhostParticle>> = BTreeMap::new();
+    // Blocks a later round may re-request, with their resumable sessions:
+    // round `k+1` recomputes only the cells round `k` could not certify.
+    let mut held: BTreeMap<u64, (MeshBlock, TessStats, BlockSession)> = BTreeMap::new();
+    // Current halo radius per block — global state, identical on all ranks.
+    let mut radius: BTreeMap<u64, f64> = BTreeMap::new();
+    // Round 0: every block wants the initial radius.
+    let mut request: BTreeMap<u64, f64> = (0..dec.nblocks() as u64).map(|g| (g, r0)).collect();
+    let mut stats = TessStats::default();
+    let mut round = 0usize;
+
+    let rounds = loop {
+        // Ghosts that arrived this round, kept aside so incremental
+        // resumes can verify/recompute against exactly the delta shell.
+        let fresh = {
+            let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
+            let _round_span = metrics.phase(format!("ghost_round:{round}"));
+            metrics.mark("ghost_round", round as u64);
+            let fresh = match exchanger.as_mut() {
+                Some(x) => x.round(world, local, &request, round),
+                None => {
+                    ghosts = exchange_ghosts(world, dec, asn, local, r0);
+                    BTreeMap::new()
+                }
+            };
+            for (&gid, items) in &fresh {
+                let v = ghosts.entry(gid).or_default();
+                v.extend_from_slice(items);
+                sort_ghosts(v);
+            }
+            for (&g, &r) in &request {
+                // Owned blocks only: each block is then counted exactly
+                // once globally, at any rank count.
+                if local.contains_key(&g) {
+                    metrics.observe(HIST_GHOST_REQUEST_RADIUS, r);
+                }
+                radius.insert(g, r);
+            }
+            fresh
+        };
+
+        // Re-tessellate the blocks whose halo changed; collect what the
+        // still-uncertified cells need.
+        let todo: Vec<u64> = local
+            .keys()
+            .copied()
+            .filter(|g| request.contains_key(g))
+            .collect();
+        let waves = match max_rounds {
+            None => sink.waves(world, todo.len()),
+            Some(_) => 0,
+        };
+        let mut needed: Vec<(u64, f64)> = Vec::new();
+        for &gid in &todo {
+            let (own, r) = (&local[&gid], radius[&gid]);
+            let g = ghosts.get(&gid).map_or(&[][..], Vec::as_slice);
+            let span = metrics.phase(PHASE_VORONOI);
+            let (block, s, cert, mut session) = match held.remove(&gid) {
+                Some((_, _, mut session)) if params.incremental_retess => {
+                    let delta = fresh.get(&gid).map_or(&[][..], Vec::as_slice);
+                    let (block, s, cert) = session.retessellate(own, g, delta, r, params);
+                    (block, s, cert, session)
+                }
+                prev => {
+                    let (block, mut s, cert, session) =
+                        tessellate_block_session(gid, dec.block_bounds(gid), own, g, r, params);
+                    // keep the work counters cumulative across rounds in
+                    // full (non-incremental) mode too, so the two modes'
+                    // counters measure the same thing
+                    if let Some((_, prev, _)) = prev {
+                        s.candidates_tested =
+                            s.candidates_tested.saturating_add(prev.candidates_tested);
+                        s.cells_computed = s.cells_computed.saturating_add(prev.cells_computed);
+                        s.cells_reused = s.cells_reused.saturating_add(prev.cells_reused);
+                    }
+                    (block, s, cert, session)
+                }
+            };
+            record_block_obs(&metrics, gid, session.take_obs());
+            drain_pool(&metrics); // pool CPU belongs to this voronoi span
+            drop(span);
+            if max_rounds.is_some() {
+                if cert.uncertified > 0 && cert.needed_ghost > 0.0 {
+                    needed.push((gid, cert.needed_ghost));
+                }
+                held.insert(gid, (block, s, session));
+            } else {
+                // final now: release its working set before the write
+                drop(session);
+                ghosts.remove(&gid);
+                stats = stats.merge(s);
+                sink.wave(world, vec![(gid, block)])?;
+            }
+        }
+        let Some(max_rounds) = max_rounds else {
+            // ranks past their block count still join every collective wave
+            for _ in todo.len()..waves {
+                sink.wave(world, Vec::new())?;
+            }
+            break 1;
+        };
+
+        // Build next round's request map from every rank's needs
+        // (collective, so all ranks agree on who grows and by how much).
+        request = {
+            let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
+            let mine: Vec<(u64, f64)> = needed
+                .into_iter()
+                .filter_map(|(gid, need)| {
+                    let cur = radius[&gid];
+                    if cur >= cap - 1e-12 {
+                        return None; // saturated: the neighborhood has no more
+                    }
+                    let next = if round < max_rounds {
+                        // Grow toward the certification bound, at least
+                        // 1.25x so near-converged cells cannot stall the
+                        // loop and at most 2x because `need` overestimates:
+                        // an under-clipped cell's security radius shrinks as
+                        // candidates arrive. Doubling converges in O(log)
+                        // rounds; incremental re-tessellation keeps them cheap.
+                        need.max(cur * 1.25).min(cur * 2.0).min(cap)
+                    } else if round == max_rounds {
+                        auto_r.max(need).min(cap) // fallback: the auto radius
+                    } else {
+                        return None; // fallback spent: leave incomplete
+                    };
+                    (next > cur + 1e-12).then_some((gid, next))
+                })
+                .collect();
+            world.all_gather(&mine).into_iter().flatten().collect()
+        };
+
+        // Held blocks the next round does not re-request are final. The
+        // wave runs even when the loop is about to break, so every rank
+        // makes the same collective calls.
+        let finished: Vec<u64> = held
+            .keys()
+            .copied()
+            .filter(|g| !request.contains_key(g))
+            .collect();
+        let mut wave = Vec::with_capacity(finished.len());
+        for gid in finished {
+            let (block, s, _) = held.remove(&gid).expect("held block");
+            stats = stats.merge(s);
+            ghosts.remove(&gid);
+            wave.push((gid, block));
+        }
+        sink.wave(world, wave)?;
+        round += 1;
+        if request.is_empty() {
+            break round as u64;
+        }
+    };
+
+    stats.ghost_rounds = rounds;
+    metrics.observe(HIST_RANK_CELLS, stats.cells as f64);
+    Ok((stats, radius.values().fold(0.0f64, |a, &b| a.max(b))))
 }
 
 /// Distributed (in-situ) tessellation: collective over all ranks of
@@ -134,238 +400,13 @@ pub fn tessellate(
     local: &BTreeMap<u64, Vec<(u64, Vec3)>>,
     params: &TessParams,
 ) -> TessResult {
-    // Pool task events are only worth their mutex traffic under full
-    // tracing; flip the pool's recording flag to match before any work.
-    rayon::set_task_trace(trace_mode() == TraceMode::Full);
-    record_balance(&world.metrics(), local);
-    // Canonical re-clip cube half-extent: a function of the *domain*, so
-    // certified cell bits cannot depend on which decomposition scheme cut
-    // the domain into blocks (see `cell::CellContext::canon_extent`).
-    let params = &TessParams {
-        canon_extent: Some(params.canon_extent.unwrap_or_else(|| {
-            let e = dec.domain.extent();
-            e.x.min(e.y).min(e.z)
-        })),
-        ..*params
-    };
-    if let GhostSpec::Adaptive {
-        initial_factor,
-        max_rounds,
-    } = params.ghost
-    {
-        return tessellate_adaptive(world, dec, asn, local, params, initial_factor, max_rounds);
-    }
-    let metrics = world.metrics();
-    let (ghost, ghosts) = {
-        let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
-        let ghost = resolve_ghost(world, dec, local, params.ghost);
-        let ghosts = exchange_ghosts(world, dec, asn, local, ghost);
-        (ghost, ghosts)
-    };
-
-    let _span = metrics.phase(PHASE_VORONOI);
     let mut blocks = BTreeMap::new();
-    let mut stats = TessStats::default();
-    for (&gid, own) in local {
-        let empty = Vec::new();
-        let g = ghosts.get(&gid).unwrap_or(&empty);
-        let (block, s, _cert, mut session) =
-            tessellate_block_session(gid, dec.block_bounds(gid), own, g, ghost, params);
-        record_block_obs(&metrics, gid, session.take_obs());
-        stats = stats.merge(s);
-        blocks.insert(gid, block);
-    }
-    stats.ghost_rounds = 1;
-    metrics.observe(HIST_RANK_CELLS, stats.cells as f64);
-    // Credit CPU burned by pool workers on our behalf to this rank's
-    // voronoi span (the span only sees the submitting thread's clock).
-    drain_pool(&metrics);
-
+    let (stats, ghost_used) = tessellate_rounds(world, dec, asn, local, params, &mut blocks)
+        .expect("the in-memory merge cannot fail");
     TessResult {
         blocks,
         stats,
-        ghost_used: ghost,
-        kernel: params.kernel,
-    }
-}
-
-/// Multi-round adaptive tessellation (see [`GhostSpec::Adaptive`]).
-///
-/// Round loop: exchange the delta shell for every block whose requested
-/// radius grew, re-tessellate exactly those blocks, let each uncertified
-/// cell bound the radius it needs, and gather the per-block requests on
-/// every rank. All decisions derive from collective data (the gathered
-/// request map, the spacing estimate), so the per-block radius schedule —
-/// and therefore every block's ghost set and mesh — is identical at any
-/// rank count. Requests are capped at one block extent (the farthest the
-/// 26-neighborhood can see); after `max_rounds` adaptive rounds one
-/// fallback round at the auto-heuristic radius runs, then whatever is
-/// still uncertified is dropped exactly like the fixed modes drop it.
-#[allow(clippy::too_many_arguments)]
-fn tessellate_adaptive(
-    world: &mut World,
-    dec: &Decomposition,
-    asn: &Assignment,
-    local: &BTreeMap<u64, Vec<(u64, Vec3)>>,
-    params: &TessParams,
-    initial_factor: f64,
-    max_rounds: usize,
-) -> TessResult {
-    let metrics = world.metrics();
-    // The neighborhood exchange only reaches adjacent blocks, so a halo
-    // wider than the smallest block extent would silently miss particles.
-    // This is the only place the adaptive protocol consults the
-    // decomposition beyond block bounds and links: the radius schedule is
-    // derived from collective data, so the protocol itself is identical
-    // for any scheme whose blocks tile the domain.
-    let cap = dec.min_block_extent();
-    assert!(
-        cap.is_finite() && cap > 0.0,
-        "degenerate decomposition: min block extent {cap}"
-    );
-    let (r0, auto_r) = {
-        let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
-        let spacing = estimated_spacing(world, dec, local);
-        (
-            (initial_factor * spacing).min(cap),
-            (AUTO_GHOST_FACTOR * spacing).min(cap),
-        )
-    };
-
-    let mut exchanger = AdaptiveGhostExchange::new(dec, asn);
-    let mut ghosts: BTreeMap<u64, Vec<GhostParticle>> =
-        local.keys().map(|&g| (g, Vec::new())).collect();
-    let mut results: BTreeMap<u64, (MeshBlock, TessStats)> = BTreeMap::new();
-    // Per-block resumable tessellations (incremental mode): round `k+1`
-    // recomputes only the cells round `k` could not certify.
-    let mut sessions: BTreeMap<u64, BlockSession> = BTreeMap::new();
-    // Current halo radius per block — global state, identical on all ranks.
-    let mut radius: BTreeMap<u64, f64> = (0..dec.nblocks() as u64).map(|g| (g, 0.0)).collect();
-    // Round 0: every block wants the initial radius (no communication
-    // needed to agree on that).
-    let mut request: BTreeMap<u64, f64> = (0..dec.nblocks() as u64).map(|g| (g, r0)).collect();
-    let mut rounds = 0u64;
-
-    loop {
-        let round = rounds as usize;
-        // Ghosts that arrived this round, kept aside so incremental
-        // resumes can verify/recompute against exactly the delta shell.
-        let mut fresh_ghosts: BTreeMap<u64, Vec<GhostParticle>> = BTreeMap::new();
-        {
-            let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
-            let _round_span = metrics.phase(format!("ghost_round:{round}"));
-            metrics.mark("ghost_round", rounds);
-            let fresh = exchanger.round(world, local, &request, round);
-            for (gid, items) in fresh {
-                let v = ghosts.get_mut(&gid).expect("owned block");
-                v.extend(items.iter().copied());
-                sort_ghosts(v);
-                fresh_ghosts.insert(gid, items);
-            }
-            for (&g, &r) in &request {
-                // Radius distribution over *owned* blocks only: each block
-                // is then counted exactly once globally, so the merged
-                // histogram is identical at any rank count.
-                if local.contains_key(&g) {
-                    metrics.observe(HIST_GHOST_REQUEST_RADIUS, r);
-                }
-                radius.insert(g, r);
-            }
-        }
-        rounds += 1;
-
-        // Re-tessellate the blocks whose halo changed; collect what the
-        // still-uncertified cells need.
-        let mut needed: BTreeMap<u64, f64> = BTreeMap::new();
-        {
-            let _span = metrics.phase(PHASE_VORONOI);
-            for (&gid, own) in local {
-                if !request.contains_key(&gid) {
-                    continue;
-                }
-                let r = radius[&gid];
-                let g = &ghosts[&gid];
-                let (block, s, cert) = match sessions.get_mut(&gid) {
-                    Some(session) if params.incremental_retess => {
-                        let fresh = fresh_ghosts.get(&gid).map_or(&[][..], Vec::as_slice);
-                        session.retessellate(own, g, fresh, r, params)
-                    }
-                    _ => {
-                        let (block, mut s, cert, session) =
-                            tessellate_block_session(gid, dec.block_bounds(gid), own, g, r, params);
-                        // keep the work counters cumulative across rounds in
-                        // full (non-incremental) mode too, so the two modes'
-                        // counters measure the same thing
-                        if let Some((_, prev)) = results.get(&gid) {
-                            s.candidates_tested =
-                                s.candidates_tested.saturating_add(prev.candidates_tested);
-                            s.cells_computed = s.cells_computed.saturating_add(prev.cells_computed);
-                            s.cells_reused = s.cells_reused.saturating_add(prev.cells_reused);
-                        }
-                        sessions.insert(gid, session);
-                        (block, s, cert)
-                    }
-                };
-                if let Some(session) = sessions.get_mut(&gid) {
-                    record_block_obs(&metrics, gid, session.take_obs());
-                }
-                results.insert(gid, (block, s));
-                if cert.uncertified > 0 && cert.needed_ghost > 0.0 {
-                    needed.insert(gid, cert.needed_ghost);
-                }
-            }
-            drain_pool(&metrics);
-        }
-
-        // Build next round's request map from every rank's needs
-        // (collective, so all ranks agree on who grows and by how much).
-        let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
-        let my_requests: Vec<(u64, f64)> = needed
-            .iter()
-            .filter_map(|(&gid, &need)| {
-                let cur = radius[&gid];
-                if cur >= cap - 1e-12 {
-                    return None; // saturated: the neighborhood has no more
-                }
-                let next = if round < max_rounds {
-                    // Grow toward the certification bound, with a geometric
-                    // floor so near-converged cells cannot stall the loop
-                    // and a 2x ceiling because `need` is an overestimate:
-                    // an uncertified cell is still under-clipped, so its
-                    // security radius shrinks as candidates arrive. Jumping
-                    // straight to the early bound over-fetches ghosts for
-                    // the whole block; doubling converges in O(log) rounds
-                    // while the incremental re-tessellation keeps the extra
-                    // rounds cheap (only uncertified cells recompute).
-                    need.max(cur * 1.25).min(cur * 2.0).min(cap)
-                } else if round == max_rounds {
-                    auto_r.max(need).min(cap) // fallback: the auto radius
-                } else {
-                    return None; // fallback spent: leave incomplete
-                };
-                (next > cur + 1e-12).then_some((gid, next))
-            })
-            .collect();
-        let gathered: Vec<Vec<(u64, f64)>> = world.all_gather(&my_requests);
-        request = gathered.into_iter().flatten().collect();
-        if request.is_empty() {
-            break;
-        }
-    }
-
-    let mut blocks = BTreeMap::new();
-    let mut stats = TessStats::default();
-    for (gid, (block, s)) in results {
-        stats = stats.merge(s);
-        blocks.insert(gid, block);
-    }
-    stats.ghost_rounds = rounds;
-    metrics.observe(HIST_RANK_CELLS, stats.cells as f64);
-    TessResult {
-        blocks,
-        stats,
-        ghost_used: radius.values().fold(0.0f64, |a, &b| a.max(b)),
-        kernel: params.kernel,
+        ghost_used,
     }
 }
 
@@ -375,10 +416,8 @@ fn tessellate_adaptive(
 pub struct StreamSummary {
     /// This rank's counters (merge across ranks for global stats).
     pub stats: TessStats,
-    /// The ghost size actually used (resolved if `GhostSpec::Auto`).
+    /// The largest ghost radius any block used.
     pub ghost_used: f64,
-    /// Per-cell discovery kernel the pass ran with.
-    pub kernel: KernelMode,
     /// Blocks written to the file (global).
     pub blocks_written: u64,
     /// Mesh payload bytes in the file, excluding framing (global).
@@ -387,19 +426,11 @@ pub struct StreamSummary {
     pub file_bytes: u64,
 }
 
-/// Bounded-memory variant of [`tessellate`]: tessellate, serialize, write,
-/// and *drop* blocks instead of accumulating the merged mesh, so peak
-/// memory is one block's mesh (plus ghosts) rather than the whole rank's.
-/// The ghost/certification machinery is byte-for-byte the one
-/// [`tessellate`] uses, and the file read back with
-/// [`crate::io::read_tessellation`] is bit-identical to the accumulated
-/// merge — only the residency changes.
-///
-/// Writes go through [`crate::io::TessStreamWriter`] in collective waves:
-/// under fixed/auto ghosts one wave per owned block (ranks past their
-/// block count contribute empty waves), under adaptive ghosts one wave
-/// per round carrying every block that just left the collective request
-/// map (its mesh is final the moment no round re-requests it).
+/// Bounded-memory variant of [`tessellate`]: the same round loop, but
+/// finished blocks are written and *dropped* in collective
+/// [`TessStreamWriter`] waves instead of accumulating the merged mesh. The
+/// file read back with [`crate::io::read_tessellation`] is bit-identical
+/// to the accumulated merge — only the residency changes.
 pub fn tessellate_streaming(
     world: &mut World,
     dec: &Decomposition,
@@ -407,245 +438,13 @@ pub fn tessellate_streaming(
     local: &BTreeMap<u64, Vec<(u64, Vec3)>>,
     params: &TessParams,
     path: &std::path::Path,
-) -> std::io::Result<StreamSummary> {
-    rayon::set_task_trace(trace_mode() == TraceMode::Full);
-    record_balance(&world.metrics(), local);
-    let params = &TessParams {
-        canon_extent: Some(params.canon_extent.unwrap_or_else(|| {
-            let e = dec.domain.extent();
-            e.x.min(e.y).min(e.z)
-        })),
-        ..*params
-    };
-    if let GhostSpec::Adaptive {
-        initial_factor,
-        max_rounds,
-    } = params.ghost
-    {
-        return tessellate_streaming_adaptive(
-            world,
-            dec,
-            asn,
-            local,
-            params,
-            path,
-            initial_factor,
-            max_rounds,
-        );
-    }
-    let metrics = world.metrics();
-    let (ghost, mut ghosts) = {
-        let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
-        let ghost = resolve_ghost(world, dec, local, params.ghost);
-        let ghosts = exchange_ghosts(world, dec, asn, local, ghost);
-        (ghost, ghosts)
-    };
-
-    let mut writer = crate::io::TessStreamWriter::create(world, path)?;
-    // every rank runs the same number of collective waves
-    let nwaves = world.all_reduce(local.len() as u64, u64::max);
-    let mut stats = TessStats::default();
-    let gids: Vec<u64> = local.keys().copied().collect();
-    for wave in 0..nwaves as usize {
-        let block = if let Some(&gid) = gids.get(wave) {
-            let own = &local[&gid];
-            let _span = metrics.phase(PHASE_VORONOI);
-            let empty = Vec::new();
-            let g = ghosts.get(&gid).unwrap_or(&empty);
-            let (block, s, _cert, mut session) =
-                tessellate_block_session(gid, dec.block_bounds(gid), own, g, ghost, params);
-            record_block_obs(&metrics, gid, session.take_obs());
-            drain_pool(&metrics);
-            stats = stats.merge(s);
-            Some((gid, block))
-        } else {
-            None
-        };
-        let wave_blocks: Vec<(u64, &MeshBlock)> = block.iter().map(|(gid, b)| (*gid, b)).collect();
-        writer.write_wave(world, &wave_blocks)?;
-        metrics.sample_mem_counters();
-        // drop the block and its ghosts before the next wave
-        if let Some((gid, _)) = block {
-            ghosts.remove(&gid);
-        }
-    }
+) -> io::Result<StreamSummary> {
+    let mut writer = TessStreamWriter::create(world, path)?;
+    let (stats, ghost_used) = tessellate_rounds(world, dec, asn, local, params, &mut writer)?;
     let summary = writer.finish(world)?;
-    stats.ghost_rounds = 1;
-    metrics.observe(HIST_RANK_CELLS, stats.cells as f64);
-
     Ok(StreamSummary {
         stats,
-        ghost_used: ghost,
-        kernel: params.kernel,
-        blocks_written: summary.blocks,
-        payload_bytes: summary.payload_bytes,
-        file_bytes: summary.file_bytes,
-    })
-}
-
-/// Adaptive streaming: the round loop is [`tessellate_adaptive`]'s —
-/// identical exchanges, identical radius schedule, identical mesh bits —
-/// but after each round's collective request map is built, every owned
-/// block that is *not* re-requested has its final mesh, so it is written
-/// in that round's wave and dropped. Only still-uncertified stragglers
-/// stay resident.
-#[allow(clippy::too_many_arguments)]
-fn tessellate_streaming_adaptive(
-    world: &mut World,
-    dec: &Decomposition,
-    asn: &Assignment,
-    local: &BTreeMap<u64, Vec<(u64, Vec3)>>,
-    params: &TessParams,
-    path: &std::path::Path,
-    initial_factor: f64,
-    max_rounds: usize,
-) -> std::io::Result<StreamSummary> {
-    let metrics = world.metrics();
-    let cap = dec.min_block_extent();
-    assert!(
-        cap.is_finite() && cap > 0.0,
-        "degenerate decomposition: min block extent {cap}"
-    );
-    let (r0, auto_r) = {
-        let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
-        let spacing = estimated_spacing(world, dec, local);
-        (
-            (initial_factor * spacing).min(cap),
-            (AUTO_GHOST_FACTOR * spacing).min(cap),
-        )
-    };
-
-    let mut writer = crate::io::TessStreamWriter::create(world, path)?;
-    let mut exchanger = AdaptiveGhostExchange::new(dec, asn);
-    let mut ghosts: BTreeMap<u64, Vec<GhostParticle>> =
-        local.keys().map(|&g| (g, Vec::new())).collect();
-    let mut results: BTreeMap<u64, (MeshBlock, TessStats)> = BTreeMap::new();
-    let mut sessions: BTreeMap<u64, BlockSession> = BTreeMap::new();
-    let mut radius: BTreeMap<u64, f64> = (0..dec.nblocks() as u64).map(|g| (g, 0.0)).collect();
-    let mut request: BTreeMap<u64, f64> = (0..dec.nblocks() as u64).map(|g| (g, r0)).collect();
-    let mut rounds = 0u64;
-    let mut stats = TessStats::default();
-
-    loop {
-        let round = rounds as usize;
-        let mut fresh_ghosts: BTreeMap<u64, Vec<GhostParticle>> = BTreeMap::new();
-        {
-            let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
-            let _round_span = metrics.phase(format!("ghost_round:{round}"));
-            metrics.mark("ghost_round", rounds);
-            let fresh = exchanger.round(world, local, &request, round);
-            for (gid, items) in fresh {
-                let v = ghosts.get_mut(&gid).expect("owned block");
-                v.extend(items.iter().copied());
-                sort_ghosts(v);
-                fresh_ghosts.insert(gid, items);
-            }
-            for (&g, &r) in &request {
-                if local.contains_key(&g) {
-                    metrics.observe(HIST_GHOST_REQUEST_RADIUS, r);
-                }
-                radius.insert(g, r);
-            }
-        }
-        rounds += 1;
-
-        let mut needed: BTreeMap<u64, f64> = BTreeMap::new();
-        {
-            let _span = metrics.phase(PHASE_VORONOI);
-            for (&gid, own) in local {
-                if !request.contains_key(&gid) {
-                    continue;
-                }
-                let r = radius[&gid];
-                let g = &ghosts[&gid];
-                let (block, s, cert) = match sessions.get_mut(&gid) {
-                    Some(session) if params.incremental_retess => {
-                        let fresh = fresh_ghosts.get(&gid).map_or(&[][..], Vec::as_slice);
-                        session.retessellate(own, g, fresh, r, params)
-                    }
-                    _ => {
-                        let (block, mut s, cert, session) =
-                            tessellate_block_session(gid, dec.block_bounds(gid), own, g, r, params);
-                        if let Some((_, prev)) = results.get(&gid) {
-                            s.candidates_tested =
-                                s.candidates_tested.saturating_add(prev.candidates_tested);
-                            s.cells_computed = s.cells_computed.saturating_add(prev.cells_computed);
-                            s.cells_reused = s.cells_reused.saturating_add(prev.cells_reused);
-                        }
-                        sessions.insert(gid, session);
-                        (block, s, cert)
-                    }
-                };
-                if let Some(session) = sessions.get_mut(&gid) {
-                    record_block_obs(&metrics, gid, session.take_obs());
-                }
-                results.insert(gid, (block, s));
-                if cert.uncertified > 0 && cert.needed_ghost > 0.0 {
-                    needed.insert(gid, cert.needed_ghost);
-                }
-            }
-            drain_pool(&metrics);
-        }
-
-        let my_requests: Vec<(u64, f64)> = {
-            let _span = metrics.phase(PHASE_GHOST_EXCHANGE);
-            let reqs: Vec<(u64, f64)> = needed
-                .iter()
-                .filter_map(|(&gid, &need)| {
-                    let cur = radius[&gid];
-                    if cur >= cap - 1e-12 {
-                        return None;
-                    }
-                    let next = if round < max_rounds {
-                        need.max(cur * 1.25).min(cur * 2.0).min(cap)
-                    } else if round == max_rounds {
-                        auto_r.max(need).min(cap)
-                    } else {
-                        return None;
-                    };
-                    (next > cur + 1e-12).then_some((gid, next))
-                })
-                .collect();
-            let gathered: Vec<Vec<(u64, f64)>> = world.all_gather(&reqs);
-            request = gathered.into_iter().flatten().collect();
-            reqs
-        };
-        let _ = my_requests;
-
-        // Every owned block the next round does not re-request is final:
-        // stream it out in this round's wave and release its memory. The
-        // wave runs even when the loop is about to break so each rank
-        // issues identical collective calls.
-        let finished: Vec<u64> = results
-            .keys()
-            .copied()
-            .filter(|g| !request.contains_key(g))
-            .collect();
-        let mut wave: Vec<(u64, MeshBlock)> = Vec::with_capacity(finished.len());
-        for gid in &finished {
-            let (block, s) = results.remove(gid).expect("finished block");
-            stats = stats.merge(s);
-            wave.push((*gid, block));
-            sessions.remove(gid);
-            ghosts.remove(gid);
-        }
-        let wave_refs: Vec<(u64, &MeshBlock)> = wave.iter().map(|(g, b)| (*g, b)).collect();
-        writer.write_wave(world, &wave_refs)?;
-        metrics.sample_mem_counters();
-        drop(wave);
-
-        if request.is_empty() {
-            break;
-        }
-    }
-
-    let summary = writer.finish(world)?;
-    stats.ghost_rounds = rounds;
-    metrics.observe(HIST_RANK_CELLS, stats.cells as f64);
-    Ok(StreamSummary {
-        stats,
-        ghost_used: radius.values().fold(0.0f64, |a, &b| a.max(b)),
-        kernel: params.kernel,
+        ghost_used,
         blocks_written: summary.blocks,
         payload_bytes: summary.payload_bytes,
         file_bytes: summary.file_bytes,
@@ -868,11 +667,13 @@ mod tests {
                     v.push((id, p));
                 }
             }
-            resolve_ghost(world, &dec, &local, GhostSpec::Auto { factor: 4.0 })
+            [2.5, 4.0].map(|factor| resolve_ghost(world, &dec, &local, GhostSpec::Auto { factor }))
         });
-        // mean spacing is 1.0 → ghost 4.0 on every rank
-        for g in ghosts {
-            assert!((g - 4.0).abs() < 1e-9, "ghost {g}");
+        // mean spacing is 1.0: factor 2.5 resolves to 2.5, and factor 4
+        // is capped at the 3-wide blocks' extent (the neighbour reach)
+        for [inside, capped] in ghosts {
+            assert!((inside - 2.5).abs() < 1e-9, "ghost {inside}");
+            assert!((capped - 3.0).abs() < 1e-9, "ghost {capped}");
         }
     }
 

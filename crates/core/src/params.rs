@@ -91,20 +91,6 @@ impl KernelMode {
     }
 }
 
-/// How cell volumes and areas are computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HullMode {
-    /// Directly from the clipped polyhedron's ordered faces (this
-    /// implementation's native path).
-    Clip,
-    /// Via a convex hull of the cell's vertices, as the paper does with
-    /// Qhull (§III-C: "compute the convex hull of the vertices in the
-    /// Voronoi cell … orders the vertices into faces and computes the
-    /// volume and surface area"). Kept for cross-validation and the
-    /// ablation benchmark.
-    Quickhull,
-}
-
 /// Parameters for a tessellation pass.
 #[derive(Debug, Clone, Copy)]
 pub struct TessParams {
@@ -120,7 +106,6 @@ pub struct TessParams {
     /// Absolute tolerance for plane-side classification during clipping,
     /// in domain units.
     pub eps: f64,
-    pub hull_mode: HullMode,
     /// Re-tessellate only uncertified cells in adaptive ghost rounds after
     /// the first, reusing certified cells verbatim. Off, every round
     /// recomputes every cell of a requesting block (the pre-incremental
@@ -136,13 +121,6 @@ pub struct TessParams {
     /// bits independent of the block decomposition scheme. `None` —
     /// direct single-block calls — falls back to a block-derived box.
     pub canon_extent: Option<f64>,
-    /// Bounded-memory output mode: tessellate, write, and drop each block
-    /// through [`crate::tessellate_streaming`] instead of accumulating the
-    /// merged mesh. Consumers that route through [`crate::tessellate`]
-    /// (which always accumulates) ignore the flag; the framework's
-    /// `output=stream` directive sets it and dispatches accordingly. The
-    /// on-disk mesh is bit-identical to the accumulated one either way.
-    pub streaming: bool,
 }
 
 impl Default for TessParams {
@@ -152,11 +130,9 @@ impl Default for TessParams {
             min_volume: None,
             keep_incomplete: false,
             eps: 1e-9,
-            hull_mode: HullMode::Clip,
             incremental_retess: true,
             kernel: KernelMode::from_env(),
             canon_extent: None,
-            streaming: false,
         }
     }
 }
@@ -182,12 +158,6 @@ impl TessParams {
     /// `TESS_KERNEL`-derived default).
     pub fn with_kernel(mut self, kernel: KernelMode) -> Self {
         self.kernel = kernel;
-        self
-    }
-
-    /// Request bounded-memory streaming output (see [`TessParams::streaming`]).
-    pub fn with_streaming(mut self) -> Self {
-        self.streaming = true;
         self
     }
 

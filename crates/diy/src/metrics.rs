@@ -906,23 +906,10 @@ impl RunReport {
     }
 }
 
-/// Escape a string as a JSON token (shared by the report and histogram
-/// renderers).
+/// Escape a string as a quoted JSON token (shared by the report,
+/// histogram and Chrome-trace renderers).
 pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", crate::telemetry::json_escape(s))
 }
 
 /// Render an `f64` as a valid JSON token (`null` for non-finite values).

@@ -31,6 +31,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::codec::{CodecError, Decode, Encode, Reader};
 use crate::comm::World;
+use crate::metrics::json_string;
 use crate::reduce::reduce_merge;
 
 /// Environment variable selecting the trace mode (`off|spans|full`).
@@ -356,24 +357,6 @@ pub fn collect_traces(world: &mut World) -> Option<Vec<RankTrace>> {
     })
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn ts_us(t_ns: u64, t0: u64) -> String {
     format!("{:.3}", t_ns.saturating_sub(t0) as f64 / 1000.0)
 }
@@ -407,7 +390,7 @@ pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
         out.push(format!(
             "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
              \"args\":{{\"name\":{}}}}}",
-            json_escape(&format!("rank {pid}"))
+            json_string(&format!("rank {pid}"))
         ));
         let mut tids: Vec<u32> = t.events.iter().map(|e| e.tid).collect();
         tids.sort_unstable();
@@ -416,7 +399,7 @@ pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
             out.push(format!(
                 "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
                  \"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-                json_escape(&thread_label(tid))
+                json_string(&thread_label(tid))
             ));
         }
         let t_last = t.events.iter().map(|e| e.t_ns).max().unwrap_or(t0);
@@ -432,7 +415,7 @@ pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
                         out.push(format!(
                             "{{\"ph\":\"B\",\"pid\":{pid},\"tid\":{tid},\
                              \"ts\":{ts},\"name\":{}}}",
-                            json_escape(t.name(e.name))
+                            json_string(t.name(e.name))
                         ));
                     }
                     EventKind::SpanEnd => {
@@ -443,7 +426,7 @@ pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
                             out.push(format!(
                                 "{{\"ph\":\"E\",\"pid\":{pid},\"tid\":{tid},\
                                  \"ts\":{ts},\"name\":{}}}",
-                                json_escape(t.name(e.name))
+                                json_string(t.name(e.name))
                             ));
                         }
                     }
@@ -465,7 +448,7 @@ pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
                             "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\
                              \"ts\":{ts},\"s\":\"t\",\"name\":{},\
                              \"args\":{{\"value\":{}}}}}",
-                            json_escape(t.name(e.name)),
+                            json_string(t.name(e.name)),
                             e.a
                         ));
                     }
@@ -474,7 +457,7 @@ pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
                             "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":{tid},\
                              \"ts\":{ts},\"name\":{},\
                              \"args\":{{\"value\":{}}}}}",
-                            json_escape(t.name(e.name)),
+                            json_string(t.name(e.name)),
                             e.a
                         ));
                     }
@@ -495,7 +478,7 @@ pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
                     "{{\"ph\":\"E\",\"pid\":{pid},\"tid\":{tid},\
                      \"ts\":{},\"name\":{}}}",
                     ts_us(t_last, t0),
-                    json_escape(t.name(name))
+                    json_string(t.name(name))
                 ));
             }
         }

@@ -14,9 +14,9 @@ use crate::tool::{AnalysisTool, ToolContext, ToolReport};
 /// or `tess_step{N}.stream.bin` (bounded-memory streaming).
 pub struct TessTool {
     pub params: TessParams,
-    /// `output=stream:<path>` file-name override (inside `output_dir`; a
-    /// `{step}` placeholder is replaced with the step number).
-    pub stream_path: Option<String>,
+    /// Merged or streamed output; a `stream:<path>` file name lives inside
+    /// `output_dir`, with a `{step}` placeholder replaced by the step.
+    pub output: OutputDirective,
     /// Global stats per invocation (step, stats, ghost used).
     pub history: Vec<(usize, tess::TessStats, f64)>,
 }
@@ -25,30 +25,22 @@ impl TessTool {
     pub fn new(params: TessParams) -> Self {
         TessTool {
             params,
-            stream_path: None,
+            output: OutputDirective::Merged,
             history: Vec::new(),
         }
     }
 
-    /// `new`, with the schedule's `ghost=` and `output=` directives (if
-    /// any) overriding `params.ghost` / `params.streaming`.
+    /// `new`, with the schedule's `ghost=` directive (if any) overriding
+    /// `params.ghost` and its `output=` directive (default merged)
+    /// choosing the output mode.
     pub fn from_schedule(params: TessParams, sched: &ToolSchedule) -> Self {
         let mut params = params;
         if let Some(d) = sched.ghost {
             params.ghost = ghost_spec_from_directive(d);
         }
-        let mut stream_path = None;
-        match &sched.output {
-            Some(OutputDirective::Merged) => params.streaming = false,
-            Some(OutputDirective::Stream { path }) => {
-                params.streaming = true;
-                stream_path = path.clone();
-            }
-            None => {}
-        }
         TessTool {
             params,
-            stream_path,
+            output: sched.output.clone().unwrap_or(OutputDirective::Merged),
             history: Vec::new(),
         }
     }
@@ -93,8 +85,9 @@ impl AnalysisTool for TessTool {
             .iter()
             .map(|(&gid, ps)| (gid, ps.iter().map(|p| (p.id, p.pos)).collect()))
             .collect();
-        if self.params.streaming {
-            return self.run_streaming(world, ctx, &local);
+        if let OutputDirective::Stream { path } = &self.output {
+            let path = path.clone();
+            return self.run_streaming(world, ctx, &local, path);
         }
         let result = tessellate(world, &sim.dec, &sim.asn, &local, &self.params);
         let stats = tess::driver::global_stats(world, result.stats);
@@ -158,10 +151,11 @@ impl TessTool {
         world: &mut World,
         ctx: &ToolContext<'_>,
         local: &BTreeMap<u64, Vec<(u64, Vec3)>>,
+        stream_path: Option<String>,
     ) -> ToolReport {
         let sim = ctx.sim;
         std::fs::create_dir_all(&ctx.output_dir).ok();
-        let name = match &self.stream_path {
+        let name = match stream_path {
             Some(p) => p.replace("{step}", &ctx.step.to_string()),
             None => format!("tess_step{}.stream.bin", ctx.step),
         };
@@ -231,18 +225,18 @@ mod tests {
         )
         .unwrap();
         let base = TessParams::default();
-        let a = TessTool::from_schedule(base, cfg.schedule_for("a").unwrap());
-        assert!(a.params.streaming);
-        assert_eq!(a.stream_path, None);
-        let b = TessTool::from_schedule(base, cfg.schedule_for("b").unwrap());
-        assert!(b.params.streaming);
-        assert_eq!(b.stream_path.as_deref(), Some("mesh_{step}.bin"));
-        // explicit merged overrides even streaming-enabled params
-        let c = TessTool::from_schedule(base.with_streaming(), cfg.schedule_for("c").unwrap());
-        assert!(!c.params.streaming);
-        // no directive → the tool's own params win
-        let d = TessTool::from_schedule(base.with_streaming(), cfg.schedule_for("d").unwrap());
-        assert!(d.params.streaming);
+        let output =
+            |name: &str| TessTool::from_schedule(base, cfg.schedule_for(name).unwrap()).output;
+        assert_eq!(output("a"), OutputDirective::Stream { path: None });
+        assert_eq!(
+            output("b"),
+            OutputDirective::Stream {
+                path: Some("mesh_{step}.bin".to_string())
+            }
+        );
+        assert_eq!(output("c"), OutputDirective::Merged);
+        // no directive → merged, like `TessTool::new`
+        assert_eq!(output("d"), OutputDirective::Merged);
     }
 
     #[test]

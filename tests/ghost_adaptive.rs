@@ -191,3 +191,54 @@ fn adaptive_certifies_all_cells_from_half_auto_radius() {
     );
     assert!(adaptive[0].0.ghost_rounds >= 1);
 }
+
+/// A fixed or auto halo wider than the neighbour reach would certify cells
+/// against a region the exchange never filled. Here the auto radius
+/// resolves to 6.9–10 on blocks of extent 2, so it must be capped at the
+/// block extent; every cell certified under the cap must then equal the
+/// single-block reference, and the certified volume cannot exceed the box.
+#[test]
+fn auto_ghost_is_capped_at_the_neighbour_reach() {
+    use rand::{Rng, SeedableRng};
+    let side = 8.0;
+    let domain = Aabb::cube(side);
+    let dec = Decomposition::regular(domain, 64, [true; 3]);
+    for seed in 0..4u64 {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let particles: Vec<(u64, Vec3)> = (0..400u64)
+            .map(|id| {
+                let p = Vec3::new(
+                    rng.gen_range(0.0..side),
+                    rng.gen_range(0.0..side),
+                    rng.gen_range(0.0..side),
+                );
+                (id, p)
+            })
+            .collect();
+        let reference_params = TessParams::default().with_ghost(5.0);
+        let (reference, _) =
+            tess::tessellate_serial(&particles, domain, [true; 3], &reference_params);
+        let reference: BTreeMap<u64, f64> = reference
+            .cells
+            .iter()
+            .map(|c| (reference.site_id_of(c), c.volume))
+            .collect();
+
+        let mesh = mesh_bits(&particles, &dec, 2, &TessParams::default());
+        assert!(!mesh.is_empty(), "seed {seed}: nothing certified");
+        let mut total = 0.0;
+        for (id, (volume, _, _)) in &mesh {
+            let volume = f64::from_bits(*volume);
+            let expect = reference[id];
+            assert!(
+                (volume - expect).abs() <= 1e-9 * expect,
+                "seed {seed}: cell {id} volume {volume} vs reference {expect}"
+            );
+            total += volume;
+        }
+        assert!(
+            total <= domain.volume() * (1.0 + 1e-9),
+            "seed {seed}: certified volume {total} exceeds the box"
+        );
+    }
+}

@@ -19,7 +19,12 @@ use meshing_universe::diy::comm::Runtime;
 use meshing_universe::diy::decomposition::{Assignment, DecompScheme, Decomposition};
 use meshing_universe::diy::metrics::collect_report;
 use meshing_universe::geometry::{Aabb, Vec3};
-use meshing_universe::tess::{self, GhostSpec, KernelMode, TessParams};
+use meshing_universe::tess::block::tessellate_block_session;
+use meshing_universe::tess::driver::resolve_ghost;
+use meshing_universe::tess::ghost::exchange_ghosts;
+use meshing_universe::tess::{
+    self, GhostSpec, KernelMode, MeshBlock, TessParams, TessStreamWriter,
+};
 
 const NBLOCKS: usize = 8;
 
@@ -155,7 +160,7 @@ fn streamed_file_matches_in_memory_merge_across_the_matrix() {
     let (particles, side) = corpus();
     for (scheme, sname) in [(DecompScheme::Regular, "reg"), (KD, "kd")] {
         for kernel in [KernelMode::Ring, KernelMode::Stream] {
-            let params = TessParams::default().with_kernel(kernel).with_streaming();
+            let params = TessParams::default().with_kernel(kernel);
             let (reference, ref_stats) = accumulated(&particles, side, scheme, 1, &params);
             for nranks in [1usize, 2, 4, 8] {
                 let label = format!("{sname}@{nranks} {kernel:?}");
@@ -184,7 +189,6 @@ fn adaptive_streaming_matches_across_rounds() {
             initial_factor: 0.5,
             max_rounds: 8,
         },
-        streaming: true,
         ..TessParams::default()
     };
     for nranks in [1usize, 4] {
@@ -216,8 +220,8 @@ fn adaptive_streaming_matches_across_rounds() {
 #[test]
 fn culled_streaming_matches_and_shrinks_the_file() {
     let (particles, side) = corpus();
-    let full = TessParams::default().with_streaming();
-    let culled = TessParams::default().with_min_volume(0.05).with_streaming();
+    let full = TessParams::default();
+    let culled = TessParams::default().with_min_volume(0.05);
     let (_, _, (_, full_payload, _)) = streamed(
         &particles,
         side,
@@ -242,13 +246,62 @@ fn culled_streaming_matches_and_shrinks_the_file() {
     );
 }
 
+/// The one-round (fixed/auto ghost) file layout, pinned byte for byte
+/// against a replay of its layer calls: one exchange, then one block per
+/// rank per wave, padded to the largest owned-block count. 3 ranks over 8
+/// blocks own 3/3/2, so the last rank contributes an empty wave.
+#[test]
+fn fixed_ghost_file_is_one_block_per_rank_per_wave() {
+    let (particles, side) = corpus();
+    let params = TessParams::default();
+    let nranks = 3;
+    let (dec, asn) = build(&particles, side, DecompScheme::Regular, nranks);
+    let owned: Vec<usize> = (0..nranks).map(|r| asn.blocks_of_rank(r).count()).collect();
+    assert!(
+        owned.iter().min() < owned.iter().max(),
+        "padding waves: {owned:?}"
+    );
+    let e = dec.domain.extent();
+    let replay_params = TessParams {
+        canon_extent: Some(e.x.min(e.y).min(e.z)),
+        ..params
+    };
+    let (driver_path, replay_path) = (tmpfile("layout-driver.tess"), tmpfile("layout-replay.tess"));
+    Runtime::run(nranks, |world| {
+        let local = partition_particles(&particles, &dec, &asn, world.rank());
+        tess::tessellate_streaming(world, &dec, &asn, &local, &params, &driver_path).unwrap();
+
+        let ghost = resolve_ghost(world, &dec, &local, params.ghost);
+        let ghosts = exchange_ghosts(world, &dec, &asn, &local, ghost);
+        let mut writer = TessStreamWriter::create(world, &replay_path).unwrap();
+        let nwaves = world.all_reduce(local.len() as u64, u64::max) as usize;
+        let gids: Vec<u64> = local.keys().copied().collect();
+        for wave in 0..nwaves {
+            let block = gids.get(wave).map(|&gid| {
+                let bounds = dec.block_bounds(gid);
+                let g = &ghosts[&gid];
+                let (block, ..) =
+                    tessellate_block_session(gid, bounds, &local[&gid], g, ghost, &replay_params);
+                (gid, block)
+            });
+            let refs: Vec<(u64, &MeshBlock)> = block.iter().map(|(gid, b)| (*gid, b)).collect();
+            writer.write_wave(world, &refs).unwrap();
+        }
+        writer.finish(world).unwrap();
+    });
+    let driver = std::fs::read(&driver_path).unwrap();
+    let replay = std::fs::read(&replay_path).unwrap();
+    assert_eq!(driver.len(), replay.len(), "file sizes differ");
+    assert!(driver == replay, "streamed file differs from the replay");
+}
+
 /// Memory accounting rides the normal metrics pipeline: a streaming run's
 /// merged RunReport carries nonzero allocator and RSS counters, identical
 /// on every rank, and `normalized()` strips them for determinism gates.
 #[test]
 fn streaming_run_report_carries_memory_counters() {
     let (particles, side) = corpus();
-    let params = TessParams::default().with_streaming();
+    let params = TessParams::default();
     let (dec, asn) = build(&particles, side, DecompScheme::Regular, 4);
     let path = tmpfile("report-mem.tess");
     let path_ref = &path;
