@@ -70,23 +70,31 @@ stage_ghost() {
 }
 
 stage_kernel() {
-    echo "==> [kernel] ring vs stream differential oracle (release)"
-    # The two cell kernels (TESS_KERNEL=ring|stream) must produce bit-identical
-    # merged meshes across 1/2/4/8 ranks, pool widths, incremental-vs-full
-    # re-tessellation, explicit+adaptive ghost modes, and kept-incomplete
-    # configurations — and the streamed kernel must clip measurably fewer
-    # candidates for the identical mesh.
-    cargo test --release -q -p meshing-universe --test kernel_equivalence &&
+    echo "==> [kernel] one-pass kernel vs two-pass reference oracle + golden pin (release)"
+    # (1) The cell kernel's unit suite checks the one-pass canonical clip
+    # against the test-only two-pass reference (discovery, then a canonical
+    # re-clip of the security ball) bit for bit: unjittered lattices with
+    # ties on ring lower bounds, explicit periodic ghosts, kept-incomplete
+    # and outgrown cells, exact duplicates, images tied in distance and id.
+    # (2) The golden pin: FNV hashes of tessellate_serial meshes on seeded
+    # uniform / lattice / clustered corpora, recorded from the two-pass
+    # kernel. (3) Merged meshes stay bit-identical across 1/2/4/8 ranks,
+    # ghost modes, pool widths, incremental-vs-full re-tessellation and
+    # kept-incomplete configurations, with fewer candidates clipped than the
+    # two-pass kernel; the adversarial corpus stresses the same axes.
+    cargo test --release -q -p tess --lib cell:: &&
+        cargo test --release -q -p meshing-universe --test golden_mesh &&
+        cargo test --release -q -p meshing-universe --test kernel_equivalence &&
         cargo test --release -q -p meshing-universe --test adversarial_corpus
 }
 
 stage_perf() {
-    echo "==> [perf] ring/stream kernels, threaded+incremental vs sequential baseline"
-    # Bit-identical meshes across all three configs, conservation, >=2x fewer
-    # candidates/cell for the streamed kernel (deterministic), >=2x cells/sec
-    # over the sequential full-recompute baseline, and <30% regression against
-    # the committed crates/bench/perf_baseline.json (PERF_BASELINE_WRITE=1
-    # regenerates it after an intentional perf change).
+    echo "==> [perf] threaded+incremental vs sequential baseline"
+    # Bit-identical meshes across both configs, conservation, candidates/cell
+    # no higher than the committed crates/bench/perf_baseline.json (exact,
+    # deterministic), >=2x cells/sec over the sequential full-recompute
+    # baseline, and <30% regression against the committed cells/sec
+    # (PERF_BASELINE_WRITE=1 regenerates it after an intentional perf change).
     TESS_THREADS=4 cargo run --release -q -p bench-harness --bin perf_smoke
 }
 
@@ -126,10 +134,11 @@ stage_decomp() {
     echo "==> [decomp] kd equivalence + suites under TESS_DECOMP=kd"
     # The scheme-polymorphic decomposition: (1) the dedicated equivalence
     # matrix proves the merged mesh is bit-identical between the regular grid
-    # and the particle-balanced k-d tree across 1/2/4/8 ranks, both kernels,
-    # and explicit+adaptive ghosts; (2) the rank-determinism, kernel-oracle,
-    # and service-oracle suites rerun with every decomposition built as a k-d
-    # tree, so all of their invariants hold on irregular block geometry too.
+    # and the particle-balanced k-d tree across 1/2/4/8 ranks,
+    # incremental-vs-full re-tessellation, and explicit+adaptive ghosts;
+    # (2) the rank-determinism, kernel bit-identity, and service-oracle
+    # suites rerun with every decomposition built as a k-d tree, so all of
+    # their invariants hold on irregular block geometry too.
     cargo test --release -q -p meshing-universe --test decomposition_equivalence &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test ghost_adaptive &&
         TESS_DECOMP=kd cargo test --release -q -p meshing-universe --test kernel_equivalence &&
@@ -143,9 +152,9 @@ stage_decomp() {
 stage_memory() {
     echo "==> [memory] streaming output + on-disk format + memory accounting gates"
     # (1) the streamed-vs-accumulated acceptance matrix: bit-identical
-    # files at 1/2/4/8 ranks under both decomposition schemes and both
-    # kernels, adaptive multi-round streaming, culled streaming, RunReport
-    # memory counters; (2) the on-disk codec fuzz: any single-byte
+    # files at 1/2/4/8 ranks under both decomposition schemes, adaptive
+    # multi-round streaming, culled streaming, RunReport memory counters;
+    # (2) the on-disk codec fuzz: any single-byte
     # corruption or truncation of a block file is a typed error, never a
     # panic; (3) bench_memory: 8-rank clustered streaming vs accumulate A/B
     # gating on allocator peak (<0.8x), VmHWM growth, the culled

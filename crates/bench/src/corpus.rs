@@ -3,13 +3,13 @@
 //!
 //! Cosmological particle sets are nothing like uniform: most mass sits in
 //! halo clumps strung along filaments, with voids in between. That
-//! anisotropy is what gives the streamed kernel its edge (void cells are
-//! large and elongated, so ordered emission + the support prefilter prune
-//! hardest there) and what breaks volume-uniform block decompositions
-//! (one octant holds most of the particles). The generator here is the
-//! single seeded source of such corpora; the kernel-equivalence and
-//! adversarial-corpus tests and the decomposition A/B benches all draw
-//! from it instead of keeping private copies.
+//! anisotropy is where the cell kernel's support-function reject earns its
+//! keep (void cells are large and elongated, so most planes in their
+//! security balls miss them) and what breaks volume-uniform block
+//! decompositions (one octant holds most of the particles). The generator
+//! here is the single seeded source of such corpora; the
+//! kernel-equivalence and adversarial-corpus tests and the decomposition
+//! A/B benches all draw from it instead of keeping private copies.
 
 use geometry::Vec3;
 use rand::{Rng, SeedableRng};

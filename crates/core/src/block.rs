@@ -124,9 +124,24 @@ pub struct BlockSession {
     records: Vec<CellRecord>,
     cells_computed: u64,
     cells_reused: u64,
+    work: KernelWork,
+    obs: CellObs,
+}
+
+/// Kernel work counters of one or more cell computations.
+#[derive(Debug, Clone, Copy, Default)]
+struct KernelWork {
     candidates_tested: u64,
     prefilter_skipped: u64,
-    obs: CellObs,
+    region_fallbacks: u64,
+}
+
+impl KernelWork {
+    fn add(&mut self, o: KernelWork) {
+        self.candidates_tested = self.candidates_tested.saturating_add(o.candidates_tested);
+        self.prefilter_skipped = self.prefilter_skipped.saturating_add(o.prefilter_skipped);
+        self.region_fallbacks = self.region_fallbacks.saturating_add(o.region_fallbacks);
+    }
 }
 
 thread_local! {
@@ -184,8 +199,7 @@ pub fn tessellate_block_session(
         records: Vec::new(),
         cells_computed: 0,
         cells_reused: 0,
-        candidates_tested: 0,
-        prefilter_skipped: 0,
+        work: KernelWork::default(),
         obs: CellObs::default(),
     };
     let (pts, ids) = flatten(own, ghosts);
@@ -196,10 +210,9 @@ pub fn tessellate_block_session(
     session.records = records
         .into_iter()
         .enumerate()
-        .map(|(i, (record, tested, skipped, ns))| {
-            session.candidates_tested = session.candidates_tested.saturating_add(tested);
-            session.prefilter_skipped = session.prefilter_skipped.saturating_add(skipped);
-            obs.note(tested, ns);
+        .map(|(i, (record, work, ns))| {
+            session.work.add(work);
+            obs.note(work.candidates_tested, ns);
             obs.note_slow(ns, own[i].0);
             record
         })
@@ -245,10 +258,9 @@ impl BlockSession {
         self.cells_computed += indices.len() as u64;
         let recomputed = compute_records(self, &pts, &ids, &indices, &region, params);
         let mut obs = std::mem::take(&mut self.obs);
-        for (i, (record, tested, skipped, ns)) in indices.into_iter().zip(recomputed) {
-            self.candidates_tested = self.candidates_tested.saturating_add(tested);
-            self.prefilter_skipped = self.prefilter_skipped.saturating_add(skipped);
-            obs.note(tested, ns);
+        for (i, (record, work, ns)) in indices.into_iter().zip(recomputed) {
+            self.work.add(work);
+            obs.note(work.candidates_tested, ns);
             obs.note_slow(ns, own[i].0);
             self.records[i] = record;
         }
@@ -309,9 +321,9 @@ fn flatten(own: &[(u64, Vec3)], ghosts: &[(u64, Vec3)]) -> (Vec<Vec3>, Vec<u64>)
 
 /// Compute the cells at `indices` in parallel; the result vector is in
 /// `indices` order (the pool collects chunk results by position). Each
-/// element carries the candidate-test count, prefilter-skip count, and
-/// wall nanoseconds (0 when tracing is off — the clock is only read under
-/// a trace mode) alongside the record.
+/// element carries the kernel work counters and wall nanoseconds (0 when
+/// tracing is off — the clock is only read under a trace mode) alongside
+/// the record.
 fn compute_records(
     session: &BlockSession,
     pts: &[Vec3],
@@ -319,10 +331,10 @@ fn compute_records(
     indices: &[usize],
     region: &Aabb,
     params: &TessParams,
-) -> Vec<(CellRecord, u64, u64, u64)> {
+) -> Vec<(CellRecord, KernelWork, u64)> {
     let bounds = session.bounds;
     let grid = CandidateGrid::build(*region, pts, 2.0);
-    // Canonicalisation box for the kernel: a function of the block alone
+    // Canonical start box for the kernel: a function of the block alone
     // (largest ghost radius the adaptive schedule can reach), never of the
     // current round's radius — see `cell::CellContext::clip_box`.
     let e = bounds.extent();
@@ -335,10 +347,6 @@ fn compute_records(
         clip_box: &clip_box,
         canon_extent: params.canon_extent,
         eps: params.eps,
-        kernel: params.kernel,
-        // Kept-incomplete cells reach the output, so their bits must be
-        // canonical (kernel- and round-independent) too.
-        canon_incomplete: params.keep_incomplete,
     };
     let cull_diam2 = params.cull_diameter().map(|d| d * d);
     // Resolve once per pass: per-cell clock reads only happen under a
@@ -349,13 +357,13 @@ fn compute_records(
         .into_par_iter()
         .map(|i| {
             let t0 = if timed { monotonic_ns() } else { 0 };
-            let (record, tested, skipped) = compute_one(&ctx, &bounds, params, cull_diam2, i);
+            let (record, work) = compute_one(&ctx, &bounds, params, cull_diam2, i);
             let ns = if timed {
                 monotonic_ns().saturating_sub(t0).max(1)
             } else {
                 0
             };
-            (record, tested, skipped, ns)
+            (record, work, ns)
         })
         .collect()
 }
@@ -366,13 +374,16 @@ fn compute_one(
     params: &TessParams,
     cull_diam2: Option<f64>,
     i: usize,
-) -> (CellRecord, u64, u64) {
+) -> (CellRecord, KernelWork) {
     let site = ctx.points[i];
     let cell = SCRATCH.with(|s| compute_cell(ctx, site, i as u32, &mut s.borrow_mut()));
-    let tested = cell.candidates_tested as u64;
-    let skipped = cell.prefilter_skipped;
-    let record = |outcome, needed| (CellRecord { outcome, needed }, tested, skipped);
-    let sec2 = 4.0 * cell.poly.max_vertex_dist2(site);
+    let work = KernelWork {
+        candidates_tested: cell.candidates_tested as u64,
+        prefilter_skipped: cell.prefilter_skipped,
+        region_fallbacks: cell.region_fallback as u64,
+    };
+    let record = |outcome, needed| (CellRecord { outcome, needed }, work);
+    let sec2 = cell.sec2;
     // Radius bound an uncertified cell needs: the security ball
     // (2× site→farthest-vertex) must fit inside the grown region,
     // so the halo must extend that far past the block wall.
@@ -447,8 +458,9 @@ fn assemble(
     let mut stats = TessStats {
         sites: session.records.len() as u64,
         ghosts_received: n_ghosts as u64,
-        candidates_tested: session.candidates_tested,
-        prefilter_skipped: session.prefilter_skipped,
+        candidates_tested: session.work.candidates_tested,
+        prefilter_skipped: session.work.prefilter_skipped,
+        region_fallbacks: session.work.region_fallbacks,
         cells_computed: session.cells_computed,
         cells_reused: session.cells_reused,
         ..Default::default()

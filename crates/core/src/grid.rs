@@ -6,24 +6,17 @@
 //! Chebyshev "rings" of bins; the minimum possible distance to the next
 //! ring provides the lower bound used by the termination test.
 //!
-//! Two consumers sit on top of the binning:
-//!
-//! * the legacy **ring scan** ([`CandidateGrid::ring_candidates`] +
-//!   [`CandidateGrid::ring_min_distance`]), which visits whole rings and
-//!   sorts each one by distance, and
-//! * the **candidate stream** ([`CandidateGrid::stream`]), a lazy min-heap
-//!   merge of the rings that emits candidates one at a time in globally
-//!   non-decreasing distance, prefiltered by an SoA `f32` distance test
-//!   with a provably conservative slack before the exact `f64` distance is
-//!   computed.
-//!
-//! The stream's termination bound is the *center-aware*
-//! [`CandidateGrid::ring_min_distance_from`]: the legacy center-independent
-//! bound treats an axis as attainable whenever the ring fits inside the
-//! axis (`r < dims`), which under-reports the bound for a cell on a block
-//! face of a strongly anisotropic grid — the short axis counts as feasible
-//! even though no ring-`r` bin exists on the center's far side, so the scan
-//! keeps going on rings that provably cannot hold a closer candidate.
+//! The **candidate stream** ([`CandidateGrid::stream`]) sits on top of the
+//! binning: a lazy min-heap merge of the rings that emits candidates one
+//! at a time in the canonical order — exact `f64` distance, then global
+//! id, then position — prefiltered by an SoA `f32` distance test with a
+//! provably conservative slack before the exact distance is computed.
+//! Its termination bound is the *center-aware*
+//! [`CandidateGrid::ring_min_distance_from`]: an axis side counts only
+//! while a ring-`r` bin still exists on it, and the gap is measured from
+//! the center itself, not from the worst case in its bin.
+
+use std::cmp::Ordering;
 
 use geometry::{Aabb, Vec3};
 
@@ -44,6 +37,11 @@ pub struct CandidateGrid {
     /// a true distance `d` always measures at least `d - slack` in `f32`,
     /// so `d2f > (sqrt(bound2)+slack)^2 (1+1e-6)` proves `d2 > bound2`.
     prefilter_slack: f64,
+    /// The same bound for the exact `f64` arithmetic: a point binned into
+    /// ring `r` measures at least `ring_lb(r) - lb_slack` from the center
+    /// (bin assignment and the ring wall both round), which keeps the
+    /// stream's sorted emission exact down to the last bit.
+    lb_slack: f64,
 }
 
 impl CandidateGrid {
@@ -73,6 +71,7 @@ impl CandidateGrid {
             sy: Vec::with_capacity(points.len()),
             sz: Vec::with_capacity(points.len()),
             prefilter_slack: 0.0,
+            lb_slack: 0.0,
         };
         // Slack scale: the largest |coordinate| that enters an f32
         // subtraction, covering both stored points and any query center
@@ -93,38 +92,12 @@ impl CandidateGrid {
         // and summation rounding is relative and absorbed by the 1e-6
         // factor in `prefilter_bound`.
         grid.prefilter_slack = 8.0 * (f32::EPSILON as f64) * scale.max(1e-300);
+        grid.lb_slack = 8.0 * f64::EPSILON * scale.max(1e-300);
         grid
     }
 
     pub fn dims(&self) -> [usize; 3] {
         self.dims
-    }
-
-    /// Center-independent lower bound on the distance from any point in
-    /// *some* bin to any point in a bin at Chebyshev ring `r` (`r >= 1`)
-    /// around it.
-    ///
-    /// A ring-`r` bin is `r` bin steps away along at least one axis, which
-    /// along axis `a` forces a gap of `(r-1)·h[a]` in space — but only an
-    /// axis with at least `r+1` bins can attain the Chebyshev maximum from
-    /// *some* center. This is valid for every center but loose near block
-    /// faces: an axis the center has already exhausted on one side still
-    /// counts as feasible. Prefer [`Self::ring_min_distance_from`] when the
-    /// center is known (the streamed kernel's termination depends on the
-    /// tighter bound; this variant is kept for center-free consumers and
-    /// the legacy ring kernel).
-    pub fn ring_min_distance(&self, r: usize) -> f64 {
-        if r == 0 {
-            return 0.0;
-        }
-        let steps = (r - 1) as f64;
-        let mut bound = f64::INFINITY;
-        for a in 0..3 {
-            if r < self.dims[a] {
-                bound = bound.min(steps * self.h[a]);
-            }
-        }
-        bound
     }
 
     /// Center-aware lower bound on the distance from `center` to any point
@@ -253,12 +226,16 @@ impl CandidateGrid {
         dx * dx + dy * dy + dz * dz
     }
 
-    /// Open a distance-ordered candidate stream around `center`. `points`
-    /// must be the slice the grid was built from; `skip` is an index to
+    /// Open a candidate stream around `center` in canonical order. `points`
+    /// must be the slice the grid was built from; `ids` holds the global id
+    /// of each point, the first tie-break on an exact distance tie (then
+    /// position). `None` breaks ties by index instead, for callers whose
+    /// points are already stored in canonical order. `skip` is an index to
     /// omit (the site itself; pass `u32::MAX` to keep everything).
     pub fn stream<'a>(
         &'a self,
         points: &'a [Vec3],
+        ids: Option<&'a [u64]>,
         center: Vec3,
         skip: u32,
         scratch: &'a mut StreamScratch,
@@ -268,7 +245,7 @@ impl CandidateGrid {
         let rel = center - self.bounds.min;
         NeighborStream {
             grid: self,
-            points,
+            order: TieOrder { points, ids },
             center,
             center_rel32: [rel.x as f32, rel.y as f32, rel.z as f32],
             center_rel: [rel.x, rel.y, rel.z],
@@ -279,50 +256,6 @@ impl CandidateGrid {
             prefilter_skipped: 0,
             scratch,
         }
-    }
-
-    /// Gather every candidate with exact squared distance in
-    /// `[1e-24, bound2]` of `center` into `out` as `(d2, index)`, using the
-    /// center-aware ring bound to stop scanning and the `f32` prefilter to
-    /// skip exact distance computations. Effectively-coincident pairs
-    /// (below the `1e-24` floor) are omitted — they have no bisector.
-    /// Returns the number of candidates the prefilter rejected.
-    pub fn ball_candidates(
-        &self,
-        points: &[Vec3],
-        center: Vec3,
-        skip: u32,
-        bound2: f64,
-        ring_buf: &mut Vec<u32>,
-        out: &mut Vec<(f64, u32)>,
-    ) -> u64 {
-        out.clear();
-        let c = self.coords_of(center);
-        let rel = center - self.bounds.min;
-        let rel32 = [rel.x as f32, rel.y as f32, rel.z as f32];
-        let pf = self.prefilter_bound(bound2);
-        let mut skipped = 0u64;
-        for r in 0..=self.max_ring() {
-            let lb = self.ring_lb([rel.x, rel.y, rel.z], c, r);
-            if lb * lb > bound2 {
-                break;
-            }
-            self.ring_candidates_at(c, r, ring_buf);
-            for &i in ring_buf.iter() {
-                if i == skip {
-                    continue;
-                }
-                if self.rel_dist2_f32(i, rel32) > pf {
-                    skipped += 1;
-                    continue;
-                }
-                let d2 = points[i as usize].dist2(center);
-                if (1e-24..=bound2).contains(&d2) {
-                    out.push((d2, i));
-                }
-            }
-        }
-        skipped
     }
 }
 
@@ -335,22 +268,26 @@ pub struct StreamScratch {
     ring: Vec<u32>,
 }
 
-/// Lazy distance-ordered merge of the grid rings around one center.
+/// Lazy merge of the grid rings around one center, in canonical order.
 ///
 /// [`NeighborStream::next`] takes the caller's current squared search
 /// bound, which must be **non-increasing** across calls (the security
 /// radius only shrinks as the cell is clipped). Candidates are emitted in
-/// non-decreasing exact distance; `None` means no remaining candidate lies
-/// within the bound — and since the bound never grows, none ever will.
+/// non-decreasing exact distance, exact ties broken by global id, then
+/// position (by index when the stream has no ids); `None` means no
+/// remaining candidate lies within the bound — and since the bound never
+/// grows, none ever will.
 ///
 /// Internally: rings are fetched one at a time into a binary min-heap
-/// keyed on `(d2, index)`. The heap top is only emitted once its distance
-/// is at most the lower bound of the next unfetched ring, which is what
-/// makes the global emission order sorted; candidates are prefiltered with
-/// the `f32` SoA distance before the exact `f64` distance is computed.
+/// keyed on the canonical order. The heap top is emitted only once its
+/// distance lies *strictly* below the lower bound of every unfetched
+/// candidate: a candidate of the next ring can tie the bound exactly, and
+/// if it carries a smaller id it must come out first. Candidates are
+/// prefiltered with the `f32` SoA distance before the exact `f64` distance
+/// is computed.
 pub struct NeighborStream<'a> {
     grid: &'a CandidateGrid,
-    points: &'a [Vec3],
+    order: TieOrder<'a>,
     center: Vec3,
     center_rel32: [f32; 3],
     center_rel: [f64; 3],
@@ -358,25 +295,26 @@ pub struct NeighborStream<'a> {
     skip: u32,
     /// Next ring index to fetch.
     next_ring: usize,
-    /// Squared lower bound on every not-yet-fetched candidate
-    /// (= ring lower bound of `next_ring`, squared).
+    /// Squared lower bound on every not-yet-fetched candidate (the ring
+    /// lower bound of `next_ring`, less the rounding slack, squared).
     cur_lb2: f64,
     prefilter_skipped: u64,
     scratch: &'a mut StreamScratch,
 }
 
 impl NeighborStream<'_> {
-    /// Next candidate within `bound2` in non-decreasing distance, or
-    /// `None` when every remaining candidate provably lies beyond it.
+    /// Next candidate within `bound2` in canonical order, or `None` when
+    /// every remaining candidate provably lies beyond it.
     pub fn next(&mut self, bound2: f64) -> Option<(f64, u32)> {
         loop {
             if let Some(&(d2, i)) = self.scratch.heap.first() {
-                // safe to emit once nothing unfetched can be closer
-                if d2 <= self.cur_lb2 {
+                // safe to emit once nothing unfetched can be as close
+                if d2 < self.cur_lb2 {
                     if d2 > bound2 {
                         return None;
                     }
-                    heap_pop(&mut self.scratch.heap);
+                    let order = self.order;
+                    heap_pop(&mut self.scratch.heap, |a, b| order.less(a, b));
                     return Some((d2, i));
                 }
             }
@@ -403,6 +341,7 @@ impl NeighborStream<'_> {
         self.grid
             .ring_candidates_at(self.coords, r, &mut self.scratch.ring);
         let pf = self.grid.prefilter_bound(bound2);
+        let order = self.order;
         for &i in self.scratch.ring.iter() {
             if i == self.skip {
                 continue;
@@ -411,35 +350,67 @@ impl NeighborStream<'_> {
                 self.prefilter_skipped += 1;
                 continue;
             }
-            let d2 = self.points[i as usize].dist2(self.center);
+            let d2 = order.points[i as usize].dist2(self.center);
             if d2 <= bound2 {
-                heap_push(&mut self.scratch.heap, (d2, i));
+                heap_push(&mut self.scratch.heap, (d2, i), |a, b| order.less(a, b));
             }
         }
         let lb = self
             .grid
             .ring_lb(self.center_rel, self.coords, self.next_ring);
-        self.cur_lb2 = lb * lb;
+        // Conservative in both roundings: the wall position (`lb_slack`)
+        // and the squared distances the heap compares against it.
+        let lb = (lb - self.grid.lb_slack).max(0.0);
+        self.cur_lb2 = lb * lb * (1.0 - 4.0 * f64::EPSILON);
     }
 }
 
-/// Min-heap order: distance, then index (deterministic pop order for
-/// exact distance ties).
-#[inline]
-fn cand_less(a: (f64, u32), b: (f64, u32)) -> bool {
-    match a.0.total_cmp(&b.0) {
-        std::cmp::Ordering::Less => true,
-        std::cmp::Ordering::Greater => false,
-        std::cmp::Ordering::Equal => a.1 < b.1,
+/// Canonical candidate order: exact squared distance, then global id, then
+/// position — distinct periodic images of one particle can tie in both
+/// distance and id. The id and position are read only on an exact distance
+/// tie, which keeps the common comparison a single `f64` compare.
+#[derive(Clone, Copy)]
+struct TieOrder<'a> {
+    points: &'a [Vec3],
+    /// `None`: index order is already canonical.
+    ids: Option<&'a [u64]>,
+}
+
+impl TieOrder<'_> {
+    #[inline]
+    fn less(&self, a: (f64, u32), b: (f64, u32)) -> bool {
+        match a.0.total_cmp(&b.0) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => self.tie(a.1, b.1) == Ordering::Less,
+        }
+    }
+
+    #[cold]
+    fn tie(&self, i: u32, j: u32) -> Ordering {
+        let Some(ids) = self.ids else {
+            return i.cmp(&j);
+        };
+        let (pi, pj) = (self.points[i as usize], self.points[j as usize]);
+        ids[i as usize]
+            .cmp(&ids[j as usize])
+            .then_with(|| pi.x.total_cmp(&pj.x))
+            .then_with(|| pi.y.total_cmp(&pj.y))
+            .then_with(|| pi.z.total_cmp(&pj.z))
+            .then_with(|| i.cmp(&j))
     }
 }
 
-fn heap_push(h: &mut Vec<(f64, u32)>, item: (f64, u32)) {
+fn heap_push(
+    h: &mut Vec<(f64, u32)>,
+    item: (f64, u32),
+    less: impl Fn((f64, u32), (f64, u32)) -> bool,
+) {
     h.push(item);
     let mut i = h.len() - 1;
     while i > 0 {
         let p = (i - 1) / 2;
-        if cand_less(h[i], h[p]) {
+        if less(h[i], h[p]) {
             h.swap(i, p);
             i = p;
         } else {
@@ -448,16 +419,16 @@ fn heap_push(h: &mut Vec<(f64, u32)>, item: (f64, u32)) {
     }
 }
 
-fn heap_pop(h: &mut Vec<(f64, u32)>) -> (f64, u32) {
-    let top = h.swap_remove(0);
+fn heap_pop(h: &mut Vec<(f64, u32)>, less: impl Fn((f64, u32), (f64, u32)) -> bool) {
+    h.swap_remove(0);
     let mut i = 0;
     loop {
         let (l, r) = (2 * i + 1, 2 * i + 2);
         let mut m = i;
-        if l < h.len() && cand_less(h[l], h[m]) {
+        if l < h.len() && less(h[l], h[m]) {
             m = l;
         }
-        if r < h.len() && cand_less(h[r], h[m]) {
+        if r < h.len() && less(h[r], h[m]) {
             m = r;
         }
         if m == i {
@@ -466,7 +437,6 @@ fn heap_pop(h: &mut Vec<(f64, u32)>) -> (f64, u32) {
         h.swap(i, m);
         i = m;
     }
-    top
 }
 
 #[cfg(test)]
@@ -529,28 +499,32 @@ mod tests {
     }
 
     #[test]
-    fn ring_min_distance_is_a_valid_lower_bound() {
+    fn ring_lower_bound_is_valid_and_monotone() {
         let pts = lattice(8);
         let grid = CandidateGrid::build(Aabb::cube(8.0), &pts, 2.0);
-        let center = Vec3::new(4.1, 3.9, 4.0);
         let mut buf = Vec::new();
-        for r in 1..=grid.max_ring() {
-            let lb = grid.ring_min_distance(r);
-            grid.ring_candidates(center, r, &mut buf);
-            for &i in &buf {
-                let d = pts[i as usize].dist(center);
-                assert!(
-                    d >= lb - 1e-12,
-                    "ring {r}: point at distance {d} < bound {lb}"
-                );
+        for center in [Vec3::new(4.1, 3.9, 4.0), Vec3::new(0.2, 7.7, 3.5)] {
+            let mut prev = 0.0;
+            for r in 0..=grid.max_ring() + 1 {
+                let lb = grid.ring_min_distance_from(center, r);
+                assert!(lb >= prev, "ring bound decreased at r={r}");
+                prev = lb;
+                grid.ring_candidates(center, r, &mut buf);
+                for &i in &buf {
+                    let d = pts[i as usize].dist(center);
+                    assert!(
+                        d >= lb - 1e-12,
+                        "ring {r}: point at distance {d} < bound {lb}"
+                    );
+                }
             }
+            assert!(prev.is_infinite(), "past every axis the rings are empty");
         }
     }
 
     #[test]
-    fn ring_min_distance_lower_bound_holds_on_anisotropic_grids() {
-        // Flat slab: bins are much shorter in z than in x/y, so the old
-        // single-min-edge bound was far too pessimistic along x/y.
+    fn ring_lower_bound_holds_on_anisotropic_grids() {
+        // Flat slab: bins are much shorter in z than in x/y.
         let mut pts = Vec::new();
         for k in 0..4 {
             for j in 0..16 {
@@ -573,13 +547,11 @@ mod tests {
         );
         let center = Vec3::new(8.2, 7.8, 0.5);
         let mut buf = Vec::new();
-        let mut some_ring_infeasible_in_z = false;
         for r in 1..=grid.max_ring() {
-            let lb = grid.ring_min_distance(r);
+            let lb = grid.ring_min_distance_from(center, r);
             if r >= dz {
-                some_ring_infeasible_in_z = true;
-                // z can no longer attain the Chebyshev max, so the bound
-                // must come from the (larger) x/y edges.
+                // z is exhausted on both sides, so the bound must come
+                // from the (larger) x/y edges.
                 assert!(
                     lb >= (r - 1) as f64 * (16.0 / dx.max(dy) as f64) - 1e-12,
                     "ring {r}: bound {lb} not tightened past the z edge"
@@ -594,20 +566,14 @@ mod tests {
                 );
             }
         }
-        assert!(some_ring_infeasible_in_z);
-        // Past every axis, rings are provably empty.
-        assert!(grid.ring_min_distance(dx.max(dy).max(dz)).is_infinite());
     }
 
     #[test]
-    fn face_cell_center_aware_bound_fixes_the_legacy_under_report() {
-        // The boundary case the legacy bound gets wrong: on a strongly
-        // anisotropic grid (short z axis, h[z] < h[x]) the legacy bound
-        // keeps reporting the tiny `(r-1)·h[z]` gap while `r < dims[z]` —
-        // but for a center whose z bin is within one bin of *both* z block
-        // faces, no ring-`r` bin exists on either z side for `r >= 2`, so
-        // the true lower bound is set by the (much larger) x/y gaps. The
-        // center-aware bound must see that and still be valid everywhere.
+    fn face_cell_bound_skips_exhausted_axis_sides() {
+        // On a strongly anisotropic grid (short z axis, h[z] < h[x]) a
+        // center whose z bin is within one bin of *both* z block faces has
+        // no ring-`r` bin on either z side for `r >= 2`, so the bound is set
+        // by the (much larger) x/y gaps rather than the sub-bin z gap.
         //
         // Slab sized so the builder picks dims [16, 16, 3]: h[x] = 1 but
         // h[z] = 2.05/3 ≈ 0.683 — genuinely anisotropic bin edges.
@@ -633,11 +599,8 @@ mod tests {
         // z faces of the block
         let center = Vec3::new(8.5, 7.5, 1.025);
         let mut buf = Vec::new();
-        let mut legacy_under_reported = false;
         for r in 1..grid.max_ring() {
-            let legacy = grid.ring_min_distance(r);
             let aware = grid.ring_min_distance_from(center, r);
-            // validity: every ring-r candidate is at least `aware` away
             grid.ring_candidates(center, r, &mut buf);
             for &i in &buf {
                 let d = pts[i as usize].dist(center);
@@ -646,43 +609,18 @@ mod tests {
                     "ring {r}: point at distance {d} < center-aware bound {aware}"
                 );
             }
-            // the center-aware bound never loosens the legacy bound
-            assert!(
-                aware >= legacy - 1e-12 || legacy.is_infinite(),
-                "ring {r}: aware {aware} < legacy {legacy}"
-            );
             if r == 2 {
-                // r < dims[z], so legacy still thinks z is attainable and
-                // reports the sub-bin z gap ...
-                assert!(
-                    (legacy - (r - 1) as f64 * hz).abs() < 1e-12,
-                    "ring {r}: legacy bound {legacy} expected {}",
-                    (r - 1) as f64 * hz
-                );
-                // ... but from this center both z sides are exhausted at
-                // r = 2 (middle bin of 3), so the true bound is the mid-bin
-                // x/y gap of 1.5·h[x] — more than a whole bin edge tighter.
+                // both z sides are exhausted at r = 2 (middle bin of 3), so
+                // the bound is the mid-bin x/y gap of 1.5·h[x] — more than
+                // a whole z bin edge past the `(r-1)·h[z]` worst case
                 assert!(
                     (aware - 1.5 * hx).abs() < 1e-9,
                     "ring {r}: aware {aware} expected {}",
                     1.5 * hx
                 );
-                if aware > legacy + hz {
-                    legacy_under_reported = true;
-                }
-            }
-            // monotonicity in r (the sorted-emission proof rests on it)
-            if r > 1 {
-                assert!(
-                    aware >= grid.ring_min_distance_from(center, r - 1) - 1e-15,
-                    "ring bound decreased at r={r}"
-                );
+                assert!(aware > (r - 1) as f64 * hz + hz);
             }
         }
-        assert!(
-            legacy_under_reported,
-            "mid-slab cell must expose the legacy under-report"
-        );
     }
 
     #[test]
@@ -691,7 +629,7 @@ mod tests {
         let grid = CandidateGrid::build(Aabb::cube(6.0), &pts, 2.0);
         for (skip, center) in [(17u32, pts[17]), (u32::MAX, Vec3::new(0.1, 5.7, 2.3))] {
             let mut scratch = StreamScratch::default();
-            let mut stream = grid.stream(&pts, center, skip, &mut scratch);
+            let mut stream = grid.stream(&pts, None, center, skip, &mut scratch);
             let mut got = Vec::new();
             let mut last = 0.0f64;
             while let Some((d2, i)) = stream.next(f64::MAX) {
@@ -718,7 +656,7 @@ mod tests {
         let center = pts[31];
         let bounds_seq = [9.0f64, 4.0, 2.5, 2.5, 1.4];
         let mut scratch = StreamScratch::default();
-        let mut stream = grid.stream(&pts, center, 31, &mut scratch);
+        let mut stream = grid.stream(&pts, None, center, 31, &mut scratch);
         let mut emitted = Vec::new();
         let mut k = 0usize;
         loop {
@@ -753,7 +691,7 @@ mod tests {
         let center = pts[100];
         let bound2 = 2.25f64; // radius 1.5 in a box of extent 7
         let mut scratch = StreamScratch::default();
-        let mut stream = grid.stream(&pts, center, 100, &mut scratch);
+        let mut stream = grid.stream(&pts, None, center, 100, &mut scratch);
         let mut got = Vec::new();
         while let Some((_, i)) = stream.next(bound2) {
             got.push(i);
@@ -774,27 +712,131 @@ mod tests {
         assert!(skipped > 0, "prefilter never fired on a far-candidate scan");
     }
 
-    #[test]
-    fn ball_candidates_matches_brute_force() {
-        let pts = jittered(6, 29, 0.45);
-        let grid = CandidateGrid::build(Aabb::cube(6.0), &pts, 2.0);
-        let center = pts[77];
-        let bound2 = 3.1f64;
-        let (mut ring_buf, mut out) = (Vec::new(), Vec::new());
-        grid.ball_candidates(&pts, center, 77, bound2, &mut ring_buf, &mut out);
-        let mut got: Vec<u32> = out.iter().map(|&(_, i)| i).collect();
-        got.sort_unstable();
-        let mut expect: Vec<u32> = pts
-            .iter()
-            .enumerate()
-            .filter(|&(i, p)| i != 77 && (1e-24..=bound2).contains(&p.dist2(center)))
-            .map(|(i, _)| i as u32)
-            .collect();
-        expect.sort_unstable();
-        assert_eq!(got, expect);
-        for &(d2, i) in &out {
-            assert_eq!(d2, pts[i as usize].dist2(center), "exact distances only");
+    /// Every point of the periodic `n`-lattice (`n` even) whose image lies
+    /// in `bounds`, with ids counting *down* (so index order is not id
+    /// order) and exact duplicates of a few sites under fresh ids.
+    fn tied_corpus(n: usize, bounds: &Aabb) -> (Vec<Vec3>, Vec<u64>) {
+        let (mut pts, mut ids) = (Vec::new(), Vec::new());
+        let ng = n as f64;
+        let base = lattice(n);
+        for (k, &p) in base.iter().enumerate() {
+            for sx in -1..=1 {
+                for sy in -1..=1 {
+                    for sz in -1..=1 {
+                        let img = p + Vec3::new(sx as f64, sy as f64, sz as f64) * ng;
+                        if bounds.contains_closed(img) {
+                            pts.push(img);
+                            ids.push((base.len() - 1 - k) as u64);
+                        }
+                    }
+                }
+            }
         }
+        for k in [0usize, 7, 40] {
+            pts.push(base[k]);
+            ids.push(10_000 + k as u64);
+        }
+        (pts, ids)
+    }
+
+    /// Drain a stream around `center` and check it against the
+    /// brute-force canonical sort of every candidate.
+    fn assert_canonical_emission(
+        grid: &CandidateGrid,
+        pts: &[Vec3],
+        ids: Option<&[u64]>,
+        center: Vec3,
+        skip: u32,
+    ) {
+        let mut scratch = StreamScratch::default();
+        let mut stream = grid.stream(pts, ids, center, skip, &mut scratch);
+        let mut got = Vec::new();
+        while let Some((_, i)) = stream.next(f64::INFINITY) {
+            got.push(i);
+        }
+        let order = TieOrder { points: pts, ids };
+        let mut expect: Vec<u32> = (0..pts.len() as u32).filter(|&i| i != skip).collect();
+        expect.sort_by(|&a, &b| {
+            let (da, db) = (pts[a as usize].dist2(center), pts[b as usize].dist2(center));
+            if order.less((da, a), (db, b)) {
+                Ordering::Less
+            } else if order.less((db, b), (da, a)) {
+                Ordering::Greater
+            } else {
+                Ordering::Equal
+            }
+        });
+        assert_eq!(got, expect, "center {center}, ids {}", ids.is_some());
+    }
+
+    #[test]
+    fn stream_breaks_exact_ties_in_canonical_order() {
+        // Unjittered lattice, periodic images of one particle sharing its
+        // id, and exact duplicates: distances tie exactly, so the emission
+        // order is decided by id, then position (or by index without ids).
+        let n = 6;
+        let bounds = Aabb::cube(n as f64).grown(3.0);
+        let (pts, ids) = tied_corpus(n, &bounds);
+        let grid = CandidateGrid::build(bounds, &pts, 2.0);
+        for skip in [0u32, 5, 77, 130] {
+            let center = pts[skip as usize];
+            assert_canonical_emission(&grid, &pts, Some(&ids), center, skip);
+            assert_canonical_emission(&grid, &pts, None, center, skip);
+        }
+        // the corpus really ties in distance and id (periodic images)
+        let c = pts[0];
+        let ties = (0..pts.len())
+            .flat_map(|a| (a + 1..pts.len()).map(move |b| (a, b)))
+            .filter(|&(a, b)| ids[a] == ids[b] && pts[a].dist2(c) == pts[b].dist2(c))
+            .count();
+        assert!(ties > 0, "corpus has no distance-and-id ties");
+    }
+
+    #[test]
+    fn stream_holds_ties_at_a_ring_lower_bound_for_the_next_ring() {
+        // Unit bins over [0, 8]³, points at (i, j+½, k+½) with ids counting
+        // down, a center at (2.5, 2.5, 2.5). The ring-2 lower bound is 1.5,
+        // and two points sit at exactly that distance: (1, 2.5, 2.5) in
+        // ring 1 and (4, 2.5, 2.5) in ring 2 — the latter with the smaller
+        // id. Emitting the ring-1 point as soon as its distance *reaches*
+        // the bound would put it first; it must wait for ring 2.
+        let side = 8usize;
+        let pts: Vec<Vec3> = (0..side * side * side)
+            .map(|idx| {
+                let (i, j, k) = (idx % side, (idx / side) % side, idx / (side * side));
+                Vec3::new(i as f64, j as f64 + 0.5, k as f64 + 0.5)
+            })
+            .collect();
+        let ids: Vec<u64> = (0..pts.len() as u64).rev().collect();
+        let bounds = Aabb::cube(side as f64);
+        let grid = CandidateGrid::build(bounds, &pts, 1.0);
+        assert_eq!(grid.dims(), [side; 3], "test geometry drifted");
+        for center in [Vec3::splat(2.5), Vec3::new(5.5, 2.5, 3.5)] {
+            assert!((grid.ring_min_distance_from(center, 2) - 1.5).abs() < 1e-15);
+            assert_canonical_emission(&grid, &pts, Some(&ids), center, u32::MAX);
+            assert_canonical_emission(&grid, &pts, None, center, u32::MAX);
+        }
+    }
+
+    #[test]
+    fn stream_order_survives_rounding_at_a_bin_wall() {
+        // Bins of width 0.1 over [0, 1]³. The point at x = 0.3 lands in bin
+        // 3, yet fl(0.3) lies just below the bin wall fl(3 · 0.1), so its
+        // distance from the center is *below* the ring-3 bound as computed
+        // (0.0576 vs 0.05760000000000002). A ring-2 point at squared
+        // distance 0.05760000000000001 sits in between: trusting the raw
+        // bound would emit it before the closer ring-3 point.
+        let center = Vec3::new(0.06, 0.55, 0.55);
+        let pts = vec![
+            Vec3::new(0.3, 0.55, 0.55),
+            Vec3::new(0.2039999999999921, 0.742000000000006, 0.55),
+        ];
+        let grid = CandidateGrid::build(Aabb::cube(1.0), &pts, 0.002);
+        assert_eq!(grid.dims(), [10; 3], "test geometry drifted");
+        let (near, far) = (pts[0].dist2(center), pts[1].dist2(center));
+        let lb = grid.ring_min_distance_from(center, 3);
+        assert!(near < far && far < lb * lb, "rounding case drifted");
+        assert_canonical_emission(&grid, &pts, None, center, u32::MAX);
     }
 
     #[test]
@@ -804,14 +846,14 @@ mod tests {
         grid.ring_candidates(Vec3::splat(0.5), 0, &mut buf);
         assert!(buf.is_empty());
         let mut scratch = StreamScratch::default();
-        let mut stream = grid.stream(&[], Vec3::splat(0.5), u32::MAX, &mut scratch);
+        let mut stream = grid.stream(&[], None, Vec3::splat(0.5), u32::MAX, &mut scratch);
         assert!(stream.next(f64::MAX).is_none());
 
         let pts = [Vec3::splat(0.2)];
         let grid = CandidateGrid::build(Aabb::cube(1.0), &pts, 2.0);
         grid.ring_candidates(Vec3::splat(0.9), 0, &mut buf);
         assert_eq!(buf, vec![0]);
-        let mut stream = grid.stream(&pts, Vec3::splat(0.9), u32::MAX, &mut scratch);
+        let mut stream = grid.stream(&pts, None, Vec3::splat(0.9), u32::MAX, &mut scratch);
         assert_eq!(stream.next(f64::MAX).map(|(_, i)| i), Some(0));
         assert!(stream.next(f64::MAX).is_none());
     }

@@ -39,8 +39,8 @@
 //! the minimum-image offset to the true nearest site is at most half the
 //! extent per periodic axis, so the winning image is always indexed. Exact
 //! `f64` distance ties are broken canonically toward the **smallest site
-//! id** (entries are sorted by site id, and the stream kernel pops equal
-//! distances in index order).
+//! id** (entries are sorted by site id, and the candidate stream pops
+//! equal distances in index order).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -204,7 +204,7 @@ impl ServiceConfig {
 
 /// One indexed site: the primary position of a cell's seed, or one of its
 /// periodic images near the boundary. Entries are sorted by `site_id` so
-/// the stream kernel's (distance, index) tie-break is a (distance,
+/// the candidate stream's (distance, index) tie-break is a (distance,
 /// site id) tie-break.
 struct SiteEntry {
     site_id: u64,
@@ -364,7 +364,7 @@ impl MeshSnapshot {
     pub fn lookup_point(&self, p: Vec3, scratch: &mut StreamScratch) -> Option<PointHit> {
         let grid = self.grid.as_ref()?;
         let q = self.wrap_query(p);
-        let mut stream = grid.stream(&self.positions, q, u32::MAX, scratch);
+        let mut stream = grid.stream(&self.positions, None, q, u32::MAX, scratch);
         let (d2, idx) = stream.next(f64::INFINITY)?;
         let e = &self.entries[idx as usize];
         let block = &self.blocks[&e.gid];

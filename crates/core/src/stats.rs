@@ -27,11 +27,12 @@ pub struct TessStats {
     /// adaptive mode counts its delta rounds). Merged with `max`, not a
     /// sum: every rank participates in the same collective rounds.
     pub ghost_rounds: u64,
-    /// Candidate neighbors tested across all cell computations (the
-    /// kernel's dominant cost driver).
+    /// Bisector planes clipped across all cell computations (the kernel's
+    /// dominant cost driver). One canonical pass per cell, plus the region
+    /// pass of the cells counted in `region_fallbacks`.
     pub candidates_tested: u64,
-    /// Candidates rejected by the f32 distance prefilter before the exact
-    /// f64 distance was computed (stream kernel + canonicalisation).
+    /// Candidates dropped before a clip — by the f32 distance prefilter or
+    /// the support-function reject — over the same passes.
     pub prefilter_skipped: u64,
     /// Cell computations actually executed, counting re-runs across
     /// adaptive rounds.
@@ -39,6 +40,9 @@ pub struct TessStats {
     /// Certified cells carried over unchanged by incremental
     /// re-tessellation instead of being recomputed.
     pub cells_reused: u64,
+    /// Cell computations that reran from the ghosted region because the
+    /// canonical cube could not certify or contain the cell.
+    pub region_fallbacks: u64,
 }
 
 impl TessStats {
@@ -58,6 +62,7 @@ impl TessStats {
         self.prefilter_skipped = self.prefilter_skipped.saturating_add(o.prefilter_skipped);
         self.cells_computed = self.cells_computed.saturating_add(o.cells_computed);
         self.cells_reused = self.cells_reused.saturating_add(o.cells_reused);
+        self.region_fallbacks = self.region_fallbacks.saturating_add(o.region_fallbacks);
         self
     }
 }
@@ -79,6 +84,7 @@ impl Encode for TessStats {
             self.prefilter_skipped,
             self.cells_computed,
             self.cells_reused,
+            self.region_fallbacks,
         ] {
             v.encode(buf);
         }
@@ -102,6 +108,7 @@ impl Decode for TessStats {
             prefilter_skipped: u64::decode(r)?,
             cells_computed: u64::decode(r)?,
             cells_reused: u64::decode(r)?,
+            region_fallbacks: u64::decode(r)?,
         })
     }
 }
@@ -163,6 +170,7 @@ mod tests {
             prefilter_skipped: 99,
             cells_computed: 11,
             cells_reused: 6,
+            region_fallbacks: 3,
         };
         assert_eq!(TessStats::from_bytes(&s.to_bytes()).unwrap(), s);
     }
@@ -174,6 +182,7 @@ mod tests {
             prefilter_skipped: u64::MAX - 4,
             cells_computed: 5,
             cells_reused: 2,
+            region_fallbacks: u64::MAX,
             ..Default::default()
         };
         let b = TessStats {
@@ -181,6 +190,7 @@ mod tests {
             prefilter_skipped: 10,
             cells_computed: 7,
             cells_reused: 1,
+            region_fallbacks: 1,
             ..Default::default()
         };
         let m = a.merge(b);
@@ -188,5 +198,6 @@ mod tests {
         assert_eq!(m.prefilter_skipped, u64::MAX);
         assert_eq!(m.cells_computed, 12);
         assert_eq!(m.cells_reused, 3);
+        assert_eq!(m.region_fallbacks, u64::MAX);
     }
 }

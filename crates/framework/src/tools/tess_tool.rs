@@ -114,7 +114,7 @@ impl AnalysisTool for TessTool {
         self.history.push((ctx.step, stats, result.ghost_used));
         let mut summary = format!(
             "step {}: {} cells ({} incomplete dropped, ghost {:.2} in {} round{}, \
-             {:.1} candidates/cell, {} reused), {} bytes",
+             {:.1} candidates/cell, {} region fallbacks, {} reused), {} bytes",
             ctx.step,
             stats.cells,
             stats.incomplete,
@@ -122,6 +122,7 @@ impl AnalysisTool for TessTool {
             stats.ghost_rounds,
             if stats.ghost_rounds == 1 { "" } else { "s" },
             stats.candidates_tested as f64 / stats.cells_computed.max(1) as f64,
+            stats.region_fallbacks,
             stats.cells_reused,
             bytes
         );

@@ -1,21 +1,21 @@
 //! Adversarial-distribution corpus for the full tessellation pipeline.
 //!
 //! Each distribution is chosen to stress a different failure surface of the
-//! cell kernels and the ghost protocol: clustered halo-like sets (huge
+//! cell kernel and the ghost protocol: clustered halo-like sets (huge
 //! density contrast, elongated void cells), coplanar and collinear lattices
 //! (degenerate bisector geometry), exact duplicates (zero-length bisectors),
 //! and periodic-seam-biased sets (wrap-around adjacency dominates). For
 //! every distribution the pipeline must not panic, must produce only
-//! non-negative finite cell volumes, and the ring and streamed kernels must
-//! agree bit for bit — serially and on 4 ranks with the adaptive ghost
-//! protocol.
+//! non-negative finite cell volumes, and incremental and full
+//! re-tessellation must agree bit for bit — serially and on 4 ranks with
+//! the adaptive ghost protocol.
 
 use std::collections::BTreeMap;
 
 use meshing_universe::diy::comm::Runtime;
 use meshing_universe::diy::decomposition::{Assignment, Decomposition};
 use meshing_universe::geometry::{Aabb, Vec3};
-use meshing_universe::tess::{self, GhostSpec, KernelMode, TessParams};
+use meshing_universe::tess::{self, GhostSpec, TessParams};
 
 fn partition(
     particles: &[(u64, Vec3)],
@@ -75,8 +75,9 @@ fn mesh_bits(
     merged
 }
 
-/// Run one distribution through serial and 4-rank adaptive configurations
-/// with both kernels; assert kernel agreement and sane volumes everywhere.
+/// Run one distribution through serial and 4-rank configurations, with
+/// incremental and full re-tessellation; assert they agree and that every
+/// volume is sane.
 fn exercise(label: &str, particles: &[(u64, Vec3)], dec: &Decomposition, keep_incomplete: bool) {
     let ghost = if keep_incomplete {
         // degenerate sets never certify; bound the rounds and keep what
@@ -87,11 +88,11 @@ fn exercise(label: &str, particles: &[(u64, Vec3)], dec: &Decomposition, keep_in
     };
     for nranks in [1usize, 4] {
         let mut reference: Option<BTreeMap<u64, CellBits>> = None;
-        for kernel in [KernelMode::Ring, KernelMode::Stream] {
+        for incremental_retess in [true, false] {
             let params = TessParams {
                 ghost,
                 keep_incomplete,
-                kernel,
+                incremental_retess,
                 ..TessParams::default()
             };
             let mesh = mesh_bits(particles, dec, nranks, &params);
@@ -108,7 +109,10 @@ fn exercise(label: &str, particles: &[(u64, Vec3)], dec: &Decomposition, keep_in
             }
             match &reference {
                 None => reference = Some(mesh),
-                Some(r) => assert_eq!(&mesh, r, "{label}: kernels disagree at {nranks} ranks"),
+                Some(r) => assert_eq!(
+                    &mesh, r,
+                    "{label}: incremental and full disagree at {nranks} ranks"
+                ),
             }
         }
     }

@@ -2,8 +2,8 @@
 //! bit-identical whether the domain was cut into a regular grid or a
 //! particle-balanced k-d tree.
 //!
-//! Why this can hold at all: certified cells are canonically re-clipped
-//! from a site-centered cube whose half-extent the driver derives from the
+//! Why this can hold at all: certified cells are clipped once from a
+//! site-centered cube whose half-extent the driver derives from the
 //! global *domain* (never from a block), in canonical candidate order, so
 //! a cell's floating-point history is a function of the particle set
 //! alone. Block shape only decides *which rank* computes a cell and which
@@ -13,8 +13,9 @@
 //! certifies (`incomplete == 0`): dropped cells are decided by the
 //! block-relative region, which *is* scheme-dependent.
 //!
-//! Matrix: {1, 2, 4, 8} ranks × {ring, stream} kernels × {explicit,
-//! adaptive} ghosts, all compared against one regular-grid reference.
+//! Matrix: {1, 2, 4, 8} ranks × {incremental, full} re-tessellation ×
+//! {explicit, adaptive} ghosts, all compared against one regular-grid
+//! reference.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +23,7 @@ use bench_harness::corpus::ClusterSpec;
 use meshing_universe::diy::comm::Runtime;
 use meshing_universe::diy::decomposition::{Assignment, DecompScheme, Decomposition};
 use meshing_universe::geometry::{Aabb, Vec3};
-use meshing_universe::tess::{self, GhostSpec, KernelMode, TessParams};
+use meshing_universe::tess::{self, GhostSpec, TessParams};
 
 /// Bit-level fingerprint of one cell: volume and area as raw f64 bits plus
 /// the face-neighbor ids in face order.
@@ -176,7 +177,7 @@ fn explicit_radius(particles: &[(u64, Vec3)], side: f64) -> f64 {
 fn kd_matches_regular_across_ranks_kernels_and_ghost_modes() {
     let (particles, side) = corpus();
     let explicit = explicit_radius(&particles, side);
-    for kernel in [KernelMode::Ring, KernelMode::Stream] {
+    for incremental_retess in [true, false] {
         for (ghost_name, ghost) in [
             ("explicit", GhostSpec::Explicit(explicit)),
             (
@@ -189,8 +190,7 @@ fn kd_matches_regular_across_ranks_kernels_and_ghost_modes() {
         ] {
             let params = TessParams {
                 ghost,
-                kernel,
-                incremental_retess: true,
+                incremental_retess,
                 ..TessParams::default()
             };
             let reference = mesh_bits(
@@ -203,11 +203,11 @@ fn kd_matches_regular_across_ranks_kernels_and_ghost_modes() {
             );
             assert!(!reference.is_empty());
             for nranks in [1usize, 2, 4, 8] {
-                let label = format!("kd@{nranks} {kernel:?} {ghost_name}");
+                let label = format!("kd@{nranks} incremental={incremental_retess} {ghost_name}");
                 let kd = mesh_bits(&particles, side, KD, nranks, &params, &label);
                 assert_same_mesh(&reference, &kd, &label);
             }
-            let label = format!("regular@8 {kernel:?} {ghost_name}");
+            let label = format!("regular@8 incremental={incremental_retess} {ghost_name}");
             let reg8 = mesh_bits(&particles, side, DecompScheme::Regular, 8, &params, &label);
             assert_same_mesh(&reference, &reg8, &label);
         }

@@ -1,14 +1,14 @@
-//! Differential kernel-oracle suite: the streamed, distance-ordered cell
-//! kernel against the legacy ring scan.
+//! Differential suite for the one-pass canonical cell kernel.
 //!
-//! The two kernels discover candidates in completely different orders
-//! (sorted incremental ring expansion with a support-function prefilter vs
-//! ring-at-a-time scanning), but every kept cell is re-clipped from a
-//! discovery-independent start box in canonical plane order, so the merged
-//! mesh must be **bit-identical** between them — across rank counts, pool
-//! widths, incremental-vs-full re-tessellation, explicit and adaptive ghost
-//! protocols, and kept-incomplete configurations. Any divergence is a
-//! kernel bug by definition; these tests are the oracle that pins it.
+//! Every cell is clipped once, from a start box that depends on the site
+//! and the domain alone, by candidates in canonical order (distance, then
+//! global id, then position). Its bits are therefore a function of the
+//! particle set: the merged mesh must be **bit-identical** across rank
+//! counts, ghost protocols, pool widths, incremental-vs-full
+//! re-tessellation, and kept-incomplete configurations. The unit suite in
+//! `tess::cell` pins the kernel itself against the two-pass reference it
+//! replaced (discovery, then a canonical re-clip); these tests pin the
+//! axes above it. Any divergence is a kernel bug by definition.
 //!
 //! Pool width is process-global state, so tests that reconfigure it
 //! serialize through one mutex and restore the previous width on exit.
@@ -20,7 +20,7 @@ use meshing_universe::diy::comm::Runtime;
 use meshing_universe::diy::decomposition::{Assignment, DecompScheme, Decomposition};
 use meshing_universe::geometry::{Aabb, Vec3};
 use meshing_universe::rayon::set_max_parallelism;
-use meshing_universe::tess::{self, GhostSpec, KernelMode, TessParams};
+use meshing_universe::tess::{self, GhostSpec, TessParams};
 
 /// Serializes tests that reconfigure the global pool width.
 static POOL_WIDTH: Mutex<()> = Mutex::new(());
@@ -56,8 +56,8 @@ fn jittered(n: usize, seed: u64, amp: f64) -> Vec<(u64, Vec3)> {
 }
 
 /// Build the decomposition under the `TESS_DECOMP` scheme (regular unless
-/// the CI kd pass overrides it): the kernel differential oracle must hold
-/// on both block geometries.
+/// the CI kd pass overrides it): the bit-identity suite must hold on both
+/// block geometries.
 fn decomp(side: f64, periodic: bool, particles: &[(u64, Vec3)]) -> Decomposition {
     let positions: Vec<Vec3> = particles.iter().map(|&(_, p)| p).collect();
     DecompScheme::from_env().build(Aabb::cube(side), 8, [periodic; 3], &positions)
@@ -145,32 +145,26 @@ fn ghost_modes() -> [(&'static str, GhostSpec); 2] {
 
 #[test]
 fn kernels_agree_bit_for_bit_at_every_rank_count_and_ghost_mode() {
+    // Certified cells are canonical, so neither the rank count nor the
+    // ghost protocol that certified them can show in their bits.
     let n = 6;
     let particles = jittered(n, 41, 0.45);
     let dec = decomp(n as f64, true, &particles);
     with_pool_width(2, || {
+        let mut reference = None;
         for (label, ghost) in ghost_modes() {
-            let stream = TessParams {
+            let params = TessParams {
                 ghost,
-                kernel: KernelMode::Stream,
                 ..TessParams::default()
             };
-            let ring = TessParams {
-                kernel: KernelMode::Ring,
-                ..stream
-            };
-            let reference = mesh_bits(&particles, &dec, 1, &ring);
+            let reference =
+                reference.get_or_insert_with(|| mesh_bits(&particles, &dec, 1, &params));
             assert_eq!(reference.len(), n * n * n, "{label}: all cells certified");
             for nranks in [1usize, 2, 4, 8] {
-                let s = mesh_bits(&particles, &dec, nranks, &stream);
+                let m = mesh_bits(&particles, &dec, nranks, &params);
                 assert_eq!(
-                    s, reference,
-                    "{label}: stream mesh at {nranks} ranks differs from ring reference"
-                );
-                let r = mesh_bits(&particles, &dec, nranks, &ring);
-                assert_eq!(
-                    r, reference,
-                    "{label}: ring mesh at {nranks} ranks differs from 1 rank"
+                    &m, reference,
+                    "{label}: mesh at {nranks} ranks differs from the 1-rank explicit reference"
                 );
             }
         }
@@ -182,21 +176,16 @@ fn kernels_agree_across_pool_widths() {
     let n = 6;
     let particles = jittered(n, 43, 0.48);
     let dec = decomp(n as f64, true, &particles);
-    let params = |kernel| TessParams {
+    let params = TessParams {
         ghost: GhostSpec::adaptive(),
-        kernel,
         ..TessParams::default()
     };
-    let reference = with_pool_width(1, || {
-        mesh_bits(&particles, &dec, 2, &params(KernelMode::Ring))
-    });
-    for width in [1usize, 2, 8] {
-        let stream = with_pool_width(width, || {
-            mesh_bits(&particles, &dec, 2, &params(KernelMode::Stream))
-        });
+    let reference = with_pool_width(1, || mesh_bits(&particles, &dec, 2, &params));
+    for width in [2usize, 8] {
+        let m = with_pool_width(width, || mesh_bits(&particles, &dec, 2, &params));
         assert_eq!(
-            stream, reference,
-            "stream mesh at pool width {width} differs from the width-1 ring reference"
+            m, reference,
+            "mesh at pool width {width} differs from the width-1 reference"
         );
     }
 }
@@ -207,106 +196,106 @@ fn kernels_agree_for_incremental_and_full_retessellation() {
     let particles = jittered(n, 47, 0.48);
     let dec = decomp(n as f64, true, &particles);
     // a small initial radius forces several adaptive growth rounds — the
-    // regime where incremental reuse and the kernels interact
+    // regime where incremental reuse and the kernel interact
     let ghost = GhostSpec::Adaptive {
         initial_factor: 0.75,
         max_rounds: 8,
     };
     with_pool_width(2, || {
         let mut reference = None;
-        for kernel in [KernelMode::Ring, KernelMode::Stream] {
-            for incremental in [false, true] {
-                let params = TessParams {
-                    ghost,
-                    kernel,
-                    incremental_retess: incremental,
-                    ..TessParams::default()
-                };
-                let (mesh, stats) = mesh_and_stats(&particles, &dec, 4, &params);
-                assert!(stats.ghost_rounds >= 2, "need a multi-round run");
-                let reference = reference.get_or_insert(mesh.clone());
-                assert_eq!(
-                    &mesh, reference,
-                    "{kernel:?} incremental={incremental} diverged"
-                );
-            }
+        for incremental in [false, true] {
+            let params = TessParams {
+                ghost,
+                incremental_retess: incremental,
+                ..TessParams::default()
+            };
+            let (mesh, stats) = mesh_and_stats(&particles, &dec, 4, &params);
+            assert!(stats.ghost_rounds >= 2, "need a multi-round run");
+            let reference = reference.get_or_insert(mesh.clone());
+            assert_eq!(&mesh, reference, "incremental={incremental} diverged");
         }
     });
 }
 
 #[test]
 fn kernels_agree_when_incomplete_cells_are_kept() {
-    // keep_incomplete publishes cells that never certified; those are
-    // canonically re-clipped too, so the kernels must still agree bit for
-    // bit. A non-periodic domain plus a too-small explicit ghost makes
-    // boundary cells genuinely incomplete.
+    // keep_incomplete publishes cells that never certified; their bits
+    // come from the kernel's region fallback, which is canonical too, so
+    // rank count and pool width must not show. A non-periodic domain plus
+    // a too-small explicit ghost makes boundary cells genuinely incomplete.
     let n = 5;
     let particles = jittered(n, 53, 0.4);
     let dec = decomp(n as f64, false, &particles);
-    with_pool_width(2, || {
-        let params = |kernel| TessParams {
-            ghost: GhostSpec::Explicit(1.0),
-            keep_incomplete: true,
-            kernel,
-            ..TessParams::default()
-        };
-        let ring = mesh_bits(&particles, &dec, 2, &params(KernelMode::Ring));
-        let stream = mesh_bits(&particles, &dec, 2, &params(KernelMode::Stream));
-        assert_eq!(ring.len(), n * n * n, "kept-incomplete publishes all cells");
-        assert_eq!(stream, ring, "kept-incomplete meshes diverged");
-    });
+    let params = TessParams {
+        ghost: GhostSpec::Explicit(1.0),
+        keep_incomplete: true,
+        ..TessParams::default()
+    };
+    let (reference, stats) = with_pool_width(1, || mesh_and_stats(&particles, &dec, 1, &params));
+    assert_eq!(
+        reference.len(),
+        n * n * n,
+        "kept-incomplete publishes all cells"
+    );
+    assert!(stats.incomplete_kept > 0, "need kept-incomplete cells");
+    assert!(
+        stats.region_fallbacks >= stats.incomplete_kept,
+        "kept-incomplete cells come from the region fallback"
+    );
+    for (width, nranks) in [(2usize, 2usize), (8, 4)] {
+        let m = with_pool_width(width, || mesh_bits(&particles, &dec, nranks, &params));
+        assert_eq!(
+            m, reference,
+            "kept-incomplete mesh diverged at {nranks} ranks, pool width {width}"
+        );
+    }
 }
 
 /// Halo-like clustered set: dense Gaussian clumps plus a sparse uniform
-/// background inside `[0, side)^3`. Clustering is what gives the streamed
-/// kernel its edge — void cells are large and elongated, so the ring scan
-/// clips entire security balls while ordered emission + the support
-/// prefilter discard almost all of them. Drawn from the shared seeded
-/// generator in `bench_harness::corpus` (same corpora as the benches).
+/// background inside `[0, side)^3`, drawn from the shared seeded generator
+/// in `bench_harness::corpus` (same corpora as the benches).
 use bench_harness::corpus::clustered;
+
+/// Candidates the two-pass kernel (streamed discovery, then a canonical
+/// re-clip of the whole security ball) clipped on the workload of
+/// [`stream_kernel_does_less_work_for_the_same_mesh`], recorded from that
+/// kernel on the regular decomposition.
+const TWO_PASS_CANDIDATES: u64 = 309_267;
 
 #[test]
 fn stream_kernel_does_less_work_for_the_same_mesh() {
-    // The contrast shows on clustered multi-round adaptive runs: rounds
-    // after the first recompute mostly boundary and void cells whose
-    // interim polyhedra are elongated, which is exactly where ordered
-    // emission + the support prefilter prune the hardest (same shape as
-    // the perf_smoke workload, which uses gravitationally evolved points).
+    // Clustered multi-round adaptive run: rounds after the first recompute
+    // mostly boundary and void cells, where the two-pass kernel paid for
+    // discovery and re-clip alike. The one-pass kernel clips each cell
+    // once, so its deterministic candidate count must come in below the
+    // two-pass count for the identical mesh. The decomposition is pinned
+    // to the regular scheme the constant was recorded on.
     let side = 12.0;
     let particles = clustered(side, 30, 30, 60, 59);
-    let dec = decomp(side, true, &particles);
+    let positions: Vec<Vec3> = particles.iter().map(|&(_, p)| p).collect();
+    let dec = DecompScheme::Regular.build(Aabb::cube(side), 8, [true; 3], &positions);
+    let params = TessParams {
+        ghost: GhostSpec::Adaptive {
+            initial_factor: 0.5,
+            max_rounds: 8,
+        },
+        ..TessParams::default()
+    };
     with_pool_width(2, || {
-        let params = |kernel| TessParams {
-            ghost: GhostSpec::Adaptive {
-                initial_factor: 0.5,
-                max_rounds: 8,
-            },
-            kernel,
-            ..TessParams::default()
+        let (mesh, stats) = mesh_and_stats(&particles, &dec, 4, &params);
+        let full = TessParams {
+            incremental_retess: false,
+            ..params
         };
-        let (ring_mesh, ring) = mesh_and_stats(&particles, &dec, 4, &params(KernelMode::Ring));
-        let (stream_mesh, stream) =
-            mesh_and_stats(&particles, &dec, 4, &params(KernelMode::Stream));
-        assert_eq!(stream_mesh, ring_mesh);
-        assert_eq!(stream.cells, ring.cells);
-        assert_eq!(stream.cells_computed, ring.cells_computed);
-        // Deterministic counters: the streamed kernel's ordered emission +
-        // support-function prefilter must cut the clipped-candidate count
-        // well below the ring scan's on the identical workload. (The gate
-        // on the gravitationally evolved perf workload, where the contrast
-        // is >2x, lives in perf_smoke; synthetic clumps cap out lower.)
+        assert_eq!(mesh, mesh_bits(&particles, &dec, 1, &full));
+        assert_eq!(stats.cells, 960);
+        assert_eq!(stats.cells_computed, 2673, "adaptive schedule moved");
+        assert_eq!(stats.ghosts_received, 16808, "adaptive schedule moved");
         assert!(
-            stream.candidates_tested * 13 < ring.candidates_tested * 10,
-            "stream {} vs ring {} candidates tested (need 1.3x fewer)",
-            stream.candidates_tested,
-            ring.candidates_tested
+            stats.candidates_tested < TWO_PASS_CANDIDATES,
+            "one-pass kernel clipped {} candidates vs {TWO_PASS_CANDIDATES} for two passes",
+            stats.candidates_tested,
         );
-        assert!(
-            stream.prefilter_skipped > ring.prefilter_skipped,
-            "stream prefilter ({}) must fire more than the ring path's \
-             canonical-reclip-only rejects ({})",
-            stream.prefilter_skipped,
-            ring.prefilter_skipped
-        );
+        assert!(stats.prefilter_skipped > 0, "prefilter never fired");
     });
 }

@@ -2,7 +2,7 @@
 //! configurations (proptest).
 
 use meshing_universe::geometry::{Aabb, Vec3};
-use meshing_universe::tess::{self, GhostSpec, KernelMode, TessParams};
+use meshing_universe::tess::{self, GhostSpec, TessParams};
 use proptest::prelude::*;
 
 /// Jittered periodic lattice: `n³` particles, never collinear or wrapped,
@@ -204,10 +204,7 @@ proptest! {
             &particles,
             domain,
             [true; 3],
-            // explicitly the streamed kernel: the conservation bound must
-            // hold on the default production path regardless of TESS_KERNEL
-            &TessParams { ghost: GhostSpec::adaptive(), ..TessParams::default() }
-                .with_kernel(KernelMode::Stream),
+            &TessParams { ghost: GhostSpec::adaptive(), ..TessParams::default() },
         );
         prop_assert_eq!(stats.incomplete, 0, "adaptive left cells uncertified");
         prop_assert_eq!(stats.cells as usize, particles.len());
@@ -219,9 +216,9 @@ proptest! {
     }
 
     /// The neighbor stream is a faithful sorted enumeration: against a
-    /// brute-force distance oracle it yields *exactly* the candidates
-    /// within the bound, in non-decreasing distance, with exact f64
-    /// distances (the f32 prefilter may never drop a true candidate).
+    /// brute-force oracle it yields *exactly* the candidates within the
+    /// bound, in the canonical (distance, id, position) order, with exact
+    /// f64 distances (the f32 prefilter may never drop a true candidate).
     #[test]
     fn neighbor_stream_matches_the_brute_force_distance_oracle(
         particles in particles_strategy(40, 5.0),
@@ -231,6 +228,7 @@ proptest! {
         use meshing_universe::tess::grid::{CandidateGrid, StreamScratch};
         let region = Aabb::cube(5.0);
         let pts: Vec<Vec3> = particles.iter().map(|&(_, p)| p).collect();
+        let ids: Vec<u64> = particles.iter().map(|&(id, _)| id).collect();
         let grid = CandidateGrid::build(region, &pts, 2.0);
         let skip = (cidx % pts.len()) as u32;
         let center = pts[skip as usize];
@@ -241,10 +239,18 @@ proptest! {
             .map(|(i, p)| (p.dist2(center), i as u32))
             .filter(|&(d2, _)| d2 <= bound2)
             .collect();
-        oracle.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        oracle.sort_by(|a, b| {
+            let (pa, pb) = (pts[a.1 as usize], pts[b.1 as usize]);
+            a.0.total_cmp(&b.0)
+                .then(ids[a.1 as usize].cmp(&ids[b.1 as usize]))
+                .then(pa.x.total_cmp(&pb.x))
+                .then(pa.y.total_cmp(&pb.y))
+                .then(pa.z.total_cmp(&pb.z))
+                .then(a.1.cmp(&b.1))
+        });
 
         let mut scratch = StreamScratch::default();
-        let mut stream = grid.stream(&pts, center, skip, &mut scratch);
+        let mut stream = grid.stream(&pts, Some(&ids), center, skip, &mut scratch);
         let mut got: Vec<(f64, u32)> = Vec::new();
         let mut prev = 0.0f64;
         while let Some((d2, i)) = stream.next(bound2) {
@@ -254,9 +260,7 @@ proptest! {
                 "stream distance is not the exact f64 distance");
             got.push((d2, i));
         }
-        let got_set: std::collections::BTreeSet<u32> = got.iter().map(|&(_, i)| i).collect();
-        let oracle_set: std::collections::BTreeSet<u32> = oracle.iter().map(|&(_, i)| i).collect();
-        prop_assert_eq!(got_set, oracle_set, "stream missed or invented candidates");
+        prop_assert_eq!(got, oracle, "stream order differs from the canonical oracle");
     }
 
     /// Under a shrinking bound (the kernel's security radius only ever
@@ -277,7 +281,7 @@ proptest! {
         let final2 = (start * start) / 16.0;
 
         let mut scratch = StreamScratch::default();
-        let mut stream = grid.stream(&pts, center, skip, &mut scratch);
+        let mut stream = grid.stream(&pts, None, center, skip, &mut scratch);
         let mut bound2 = start * start;
         let mut emitted: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
         while let Some((_, i)) = stream.next(bound2) {
@@ -308,7 +312,6 @@ proptest! {
         use meshing_universe::tess::{
             cell::{compute_cell, CellContext, CellScratch},
             grid::CandidateGrid,
-            KernelMode,
         };
 
         let points = degenerate_points(family, n, seed);
@@ -316,26 +319,25 @@ proptest! {
         let region = Aabb::cube(4.0);
         let grid = CandidateGrid::build(region, &points, 2.0);
         let mut scratch = CellScratch::default();
-        for kernel in [KernelMode::Ring, KernelMode::Stream] {
+        // both start boxes: the block-derived clip box and the site cube
+        for canon_extent in [None, Some(4.0)] {
             let ctx = CellContext {
                 points: &points,
                 ids: &ids,
                 grid: &grid,
                 region: &region,
                 clip_box: &region,
-                canon_extent: None,
+                canon_extent,
                 eps: 1e-9,
-                kernel,
-                canon_incomplete: true,
             };
             for (i, &site) in points.iter().enumerate() {
                 let cell = compute_cell(&ctx, site, i as u32, &mut scratch);
                 let vol = cell.poly.volume();
                 let area = cell.poly.surface_area();
                 prop_assert!(vol.is_finite() && vol >= -1e-9,
-                    "family {} site {} ({:?}): negative volume {}", family, i, kernel, vol);
+                    "family {} site {} ({:?}): negative volume {}", family, i, canon_extent, vol);
                 prop_assert!(area.is_finite() && area >= -1e-9,
-                    "family {} site {} ({:?}): negative area {}", family, i, kernel, area);
+                    "family {} site {} ({:?}): negative area {}", family, i, canon_extent, area);
             }
         }
         // quickhull must reject degeneracy gracefully, never panic; when a
